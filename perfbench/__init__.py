@@ -1,0 +1,1 @@
+"""Orchid end-to-end benchmark (see README.md)."""
