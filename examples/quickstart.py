@@ -13,11 +13,6 @@ Run:  python examples/quickstart.py
       python examples/quickstart.py --stats json     # metrics JSON ONLY on
                                                      # stdout (narrative moves
                                                      # to stderr) — pipeable
-      python examples/quickstart.py --batched --workers 4
-                                                     # parallel tier: wavefront
-                                                     # scheduling + partitioned
-                                                     # kernels (see
-                                                     # docs/execution-model.md)
       python examples/quickstart.py --on-error reject --poison 5 --stats json
                                                      # fault-tolerant run: 5
                                                      # seeded bad rows land on
@@ -38,8 +33,6 @@ from repro.exec import (
     set_default_batched,
     set_default_compiled,
     set_default_fused,
-    set_default_parallel,
-    set_default_workers,
 )
 from repro.errors import RunCancelled
 from repro.mapping import execute_mappings
@@ -83,15 +76,6 @@ def main(argv=None) -> None:
         help="with --batched, disable selection-vector pipeline fusion "
         "and run each operator through its own block kernel "
         "(equivalent to REPRO_FUSE=0)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run independent stages/operators (and, with --batched, "
-        "partitioned join/aggregate kernels) on N worker threads "
-        "(see docs/execution-model.md)",
     )
     parser.add_argument(
         "--on-error",
@@ -152,9 +136,6 @@ def main(argv=None) -> None:
         set_default_batched(True)
     if args.no_fuse:
         set_default_fused(False)
-    if args.workers is not None:
-        set_default_workers(args.workers)
-        set_default_parallel(args.workers > 1)
     if args.memory_budget is not None:
         set_default_memory_budget(args.memory_budget)
     if args.deadline is not None:

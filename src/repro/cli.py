@@ -21,9 +21,7 @@ of the run), ``--stats {json,text}`` (print the metrics registry),
 instead of the compiler), ``--row-mode`` (force row-at-a-time execution
 even when ``REPRO_BATCH`` enables the columnar tier), and
 ``--batch-size N`` (enable columnar batches of N rows — see
-``docs/execution.md``), and ``--workers N`` (run independent
-stages/operators and partitioned kernels on N worker threads — see
-``docs/execution-model.md``). Trace/stats reports go to *stderr* so the
+``docs/execution.md``). Trace/stats reports go to *stderr* so the
 primary document on stdout stays machine-readable; see
 ``docs/observability.md`` for the span and metric naming conventions.
 
@@ -55,8 +53,6 @@ from repro.exec import (
     set_default_compiled,
     set_default_fused,
     set_default_mode,
-    set_default_parallel,
-    set_default_workers,
 )
 from repro.fasttrack.orchid import Orchid
 from repro.obs import Observability
@@ -133,18 +129,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "docs/execution-model.md)",
     )
     observability.add_argument(
-        "--workers",
-        type=int,
-        metavar="N",
-        help="run independent stages/operators and partitioned "
-        "join/aggregate kernels on N worker threads; N=1 forces serial "
-        "(equivalent to REPRO_WORKERS plus REPRO_PARALLEL=1 — see "
-        "docs/execution-model.md)",
-    )
-    observability.add_argument(
         "--mode",
         choices=list(MODES),
-        help="pin the execution tier (rows/block/parallel) or let the "
+        help="pin the execution tier (rows/block) or let the "
         "cost model pick per run from the input size (auto; equivalent "
         "to REPRO_MODE — see docs/planning.md)",
     )
@@ -322,11 +309,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         set_default_batch_size(args.batch_size)
     if args.no_fuse:
         set_default_fused(False)
-    if args.workers is not None:
-        if args.workers < 1:
-            parser.error("--workers must be >= 1")
-        set_default_workers(args.workers)
-        set_default_parallel(args.workers > 1)
     if args.mode:
         set_default_mode(args.mode)
     if args.max_retries is not None and args.max_retries < 0:
@@ -367,9 +349,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             set_default_batch_size(None)
         if args.no_fuse:
             set_default_fused(None)
-        if args.workers is not None:
-            set_default_workers(None)
-            set_default_parallel(None)
         if args.mode:
             set_default_mode(None)
         if args.on_error:

@@ -9,9 +9,9 @@ resolution precedence exactly once —
     explicit kwarg  >  process-wide setter  >  REPRO_* env var  >  default
 
 — and every knob in the system is an instance registered here. The
-public triads in :mod:`repro.exec`, :mod:`repro.exec.parallel`, and
-:mod:`repro.resilience` are thin delegations onto these instances, so
-existing call sites (and the CLI flags) keep working unchanged.
+public triads in :mod:`repro.exec` and :mod:`repro.resilience` are thin
+delegations onto these instances, so existing call sites (and the CLI
+flags) keep working unchanged.
 
 Registered knobs:
 
@@ -22,9 +22,6 @@ compiled           REPRO_COMPILED                True
 batched            REPRO_BATCH                   False
 batch_size         REPRO_BATCH_SIZE, REPRO_BATCH 1024
 fused              REPRO_FUSE                    True (needs batched)
-parallel           REPRO_PARALLEL                False
-workers            REPRO_WORKERS, REPRO_PARALLEL cpu count clamped [2, 8]
-parallel_min_rows  REPRO_PARALLEL_MIN_ROWS       derived by the cost model
 on_error           REPRO_ON_ERROR                "fail_fast"
 max_retries        REPRO_MAX_RETRIES             0
 checkpoint_dir     REPRO_CHECKPOINT_DIR          None (off)
@@ -35,12 +32,6 @@ memory_budget      REPRO_MEMORY_BUDGET           None (unbounded)
 breaker            REPRO_BREAKER                 None (breakers off)
 check              REPRO_CHECK                   False (no pre-run lint)
 ================== ============================= =========================
-
-``parallel_min_rows`` is the one knob whose default is *derived*: with
-no override anywhere, the partitioned-kernel threshold comes from the
-cost model's crossover analysis (:func:`repro.cost.model.
-derived_parallel_min_rows`) instead of a hard-coded constant — see
-``docs/planning.md``.
 """
 
 from __future__ import annotations
@@ -56,17 +47,12 @@ FALSE_VALUES = ("0", "false", "no", "off")
 #: default rows per block in batched mode.
 DEFAULT_BATCH_SIZE = 1024
 
-#: workers used when ``REPRO_WORKERS`` and the setter are both unset:
-#: the machine's cores, clamped to [2, 8] so ``parallel=True`` always
-#: means real fan-out even on single-core boxes.
-DEFAULT_WORKERS = max(2, min(8, os.cpu_count() or 1))
-
 #: the row error policies of :mod:`repro.resilience` (authoritative
 #: tuple; ``repro.resilience.POLICIES`` re-exports it).
 ERROR_POLICIES = ("fail_fast", "skip", "reject")
 
 #: the execution-tier modes an engine's ``mode`` kwarg accepts.
-MODES = ("rows", "block", "parallel", "auto")
+MODES = ("rows", "block", "auto")
 
 
 def parse_bool(raw: str) -> bool:
@@ -196,20 +182,6 @@ def _check_batch_size(value: Any) -> int:
     return size
 
 
-def _check_workers(value: Any) -> int:
-    workers = int(value)
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {value!r}")
-    return workers
-
-
-def _check_threshold(value: Any) -> int:
-    threshold = int(value)
-    if threshold < 1:
-        raise ValueError(f"threshold must be >= 1, got {value!r}")
-    return threshold
-
-
 def check_policy(policy: str) -> str:
     """Validate a row error policy name (shared with
     :mod:`repro.resilience.policy`)."""
@@ -324,15 +296,6 @@ def _check_breaker(value: Any) -> int:
     return threshold
 
 
-def _derived_parallel_min_rows() -> int:
-    # lazy import: the cost model is a leaf module, but keeping config
-    # import-light means nothing pulls repro.cost in until a partitioned
-    # kernel actually asks for the threshold
-    from repro.cost.model import derived_parallel_min_rows
-
-    return derived_parallel_min_rows()
-
-
 # -- the knobs ----------------------------------------------------------------
 
 COMPILED = register(
@@ -357,27 +320,6 @@ BATCH_SIZE = register(
 #: only takes effect when the batched tier is active.
 FUSED = register(
     Knob("fused", env="REPRO_FUSE", default=True, parse=_parse_false_only)
-)
-PARALLEL = register(
-    Knob("parallel", env="REPRO_PARALLEL", default=False, parse=parse_bool)
-)
-WORKERS = register(
-    Knob(
-        "workers",
-        env=("REPRO_WORKERS", "REPRO_PARALLEL"),
-        default=DEFAULT_WORKERS,
-        parse=_parse_int_above(2),
-        validate=_check_workers,
-    )
-)
-PARALLEL_MIN_ROWS = register(
-    Knob(
-        "parallel_min_rows",
-        env="REPRO_PARALLEL_MIN_ROWS",
-        default=_derived_parallel_min_rows,
-        parse=_parse_int_above(1),
-        validate=_check_threshold,
-    )
 )
 ON_ERROR = register(
     Knob(
@@ -469,7 +411,6 @@ __all__ = [
     "DEADLINE",
     "MEMORY_BUDGET",
     "DEFAULT_BATCH_SIZE",
-    "DEFAULT_WORKERS",
     "ERROR_POLICIES",
     "FALSE_VALUES",
     "FUSED",
@@ -478,9 +419,6 @@ __all__ = [
     "MODE",
     "MODES",
     "ON_ERROR",
-    "PARALLEL",
-    "PARALLEL_MIN_ROWS",
-    "WORKERS",
     "check_mode",
     "check_policy",
     "knob",

@@ -49,10 +49,7 @@ from repro.exec import (
     resolve_compiled,
     resolve_fused,
     resolve_mode,
-    resolve_parallel,
-    resolve_workers,
 )
-from repro.exec.parallel import WorkerUnavailable, topological_waves
 from repro.obs import NULL_OBS, Observability
 from repro.resilience import (
     ErrorContext,
@@ -143,8 +140,6 @@ class EtlEngine:
         retry=None,
         checkpoint=None,
         degrade: bool = True,
-        parallel: Optional[bool] = None,
-        workers: Optional[int] = None,
         mode: Optional[str] = None,
         catalog=None,
         fused: Optional[bool] = None,
@@ -178,14 +173,7 @@ class EtlEngine:
         #: checkpoint store for resumable runs, or None.
         self.checkpoint = resolve_checkpoint(checkpoint)
         self.degrade = degrade
-        #: wavefront scheduling: independent stages of one topological
-        #: level run concurrently on a worker pool; with ``batched``,
-        #: large joins/aggregations additionally partition across the
-        #: same pool. Serial when workers < 2.
-        self._parallel_opt = parallel
-        self.workers = resolve_workers(workers)
-        self.parallel = resolve_parallel(parallel) and self.workers >= 2
-        #: execution-tier mode: "rows"/"block"/"parallel" pin the tier,
+        #: execution-tier mode: "rows"/"block" pin the tier,
         #: "auto" picks per run from the input size via the cost model,
         #: None keeps the per-flag resolution above.
         self.mode = resolve_mode(mode)
@@ -195,12 +183,10 @@ class EtlEngine:
         self.fused = self.batched and resolve_fused(fused)
         if self.mode is not None:
             probe = ExpressionPlanner(
-                None, compiled, batched, self.batch_size,
-                parallel=parallel, workers=self.workers, mode=self.mode,
+                None, compiled, batched, self.batch_size, mode=self.mode,
                 fused=fused,
             )
             self.batched = probe.batched
-            self.parallel = probe.parallel
             self.fused = probe.fused
         #: per-run deadline supervision, or None (no per-boundary work).
         self.supervisor = resolve_supervisor(
@@ -334,10 +320,8 @@ class EtlEngine:
     def _compute_stage(
         self, stage, inputs, data_edges, instance, registry, tiers, ctx
     ):
-        """One stage's pure compute (endpoint retry included) — safe off
-        the main thread: no spans, no shared-state writes (the metrics
-        registry is internally locked). Returns ``(outputs,
-        delivered)``."""
+        """One stage's pure compute (endpoint retry included): no spans,
+        no shared-state writes. Returns ``(outputs, delivered)``."""
         metrics = self._obs.metrics
         if isinstance(stage, TableTarget):
             delivered = self._endpoint(
@@ -374,10 +358,8 @@ class EtlEngine:
         self, stage, inputs, outputs, delivered, reject_edge, ctx, span,
         seconds, targets, stats,
     ):
-        """One stage's bookkeeping — always on the calling thread, in
-        topological order, so wavefront runs publish byte-identically to
-        serial runs. Returns the outputs with the reject-link dataset
-        appended when the stage declares one."""
+        """One stage's bookkeeping. Returns the outputs with the
+        reject-link dataset appended when the stage declares one."""
         metrics = self._obs.metrics
         if isinstance(stage, TableTarget):
             targets.put(delivered)
@@ -447,14 +429,12 @@ class EtlEngine:
         # lowered once, and the job's own registry is captured
         planner = ExpressionPlanner(
             job.registry, self.compiled, self.batched, self.batch_size,
-            parallel=self._parallel_opt, workers=self.workers,
             mode=self.mode, fused=self._fused_opt,
         )
         if self.mode == "auto":
             n_rows = max((len(d) for d in instance), default=0)
             tier = planner.tune_for(n_rows, memory_budget=self.memory_budget)
             self._obs.metrics.count(f"exec.auto.tier.{tier}")
-        parallel = planner.parallel if self.mode is not None else self.parallel
         tiers = self._ladder(planner)
         job.propagate_schemas()
         by_port: Dict[Tuple[str, int], Dataset] = {}
@@ -466,70 +446,52 @@ class EtlEngine:
         frontier = (
             self.checkpoint.load_frontier(job) if self.checkpoint else {}
         )
-        order = job.topological_order()
-        if parallel:
-            waves = topological_waves(
-                order,
-                lambda s: s.uid,
-                lambda s: (e.src for e in job.in_edges(s.uid)),
-            )
-        else:
-            waves = [order]
         with governed(self.memory_budget), tracer.span(
             "etl.run", job=job.name
         ):
-            for wave in waves:
+            for stage in job.topological_order():
                 if supervisor is not None:
-                    supervisor.check("wave")
-                if parallel and len(wave) >= 2:
-                    self._run_stage_wave(
-                        wave, job, instance, tiers, planner, frontier,
-                        targets, by_port, link_data, stats, supervisor,
+                    supervisor.check(stage.name)
+                inputs = [
+                    by_port[(e.src, e.src_port)]
+                    for e in job.in_edges(stage.uid)
+                ]
+                out_edges = job.out_edges(stage.uid)
+                data_edges = [e for e in out_edges if not e.is_reject]
+                reject_edge = next(
+                    (e for e in out_edges if e.is_reject), None
+                )
+                restored = frontier.get(stage.uid)
+                if restored is not None and all(
+                    e.name in restored[0] for e in out_edges
+                ):
+                    self._restore_stage(
+                        stage, restored, out_edges,
+                        targets, by_port, link_data, stats,
                     )
                     continue
-                for stage in wave:
-                    if supervisor is not None:
-                        supervisor.check(stage.name)
-                    inputs = [
-                        by_port[(e.src, e.src_port)]
-                        for e in job.in_edges(stage.uid)
-                    ]
-                    out_edges = job.out_edges(stage.uid)
-                    data_edges = [e for e in out_edges if not e.is_reject]
-                    reject_edge = next(
-                        (e for e in out_edges if e.is_reject), None
+                ctx = ErrorContext(
+                    stage.name, stage.on_error or self.on_error
+                )
+                with tracer.span(
+                    f"etl.stage.{stage.STAGE_TYPE}", stage=stage.name
+                ) as span:
+                    started = perf_counter() if observing else 0.0
+                    outputs, delivered = self._compute_stage(
+                        stage, inputs, data_edges, instance,
+                        job.registry, tiers, ctx,
                     )
-                    restored = frontier.get(stage.uid)
-                    if restored is not None and all(
-                        e.name in restored[0] for e in out_edges
-                    ):
-                        self._restore_stage(
-                            stage, restored, out_edges,
-                            targets, by_port, link_data, stats,
-                        )
-                        continue
-                    ctx = ErrorContext(
-                        stage.name, stage.on_error or self.on_error
+                    seconds = (
+                        perf_counter() - started if observing else 0.0
                     )
-                    with tracer.span(
-                        f"etl.stage.{stage.STAGE_TYPE}", stage=stage.name
-                    ) as span:
-                        started = perf_counter() if observing else 0.0
-                        outputs, delivered = self._compute_stage(
-                            stage, inputs, data_edges, instance,
-                            job.registry, tiers, ctx,
-                        )
-                        seconds = (
-                            perf_counter() - started if observing else 0.0
-                        )
-                        outputs = self._finish_stage(
-                            stage, inputs, outputs, delivered, reject_edge,
-                            ctx, span, seconds, targets, stats,
-                        )
-                    self._commit_stage(
-                        job, stage, out_edges, outputs, delivered,
-                        by_port, link_data, stats,
+                    outputs = self._finish_stage(
+                        stage, inputs, outputs, delivered, reject_edge,
+                        ctx, span, seconds, targets, stats,
                     )
+                self._commit_stage(
+                    job, stage, out_edges, outputs, delivered,
+                    by_port, link_data, stats,
+                )
         if self.checkpoint is not None:
             self.checkpoint.clear(job)
         if self.catalog is not None:
@@ -539,106 +501,6 @@ class EtlEngine:
             self.catalog.observe_link_counts(stats.link_counts)
         self.last_run = stats
         return targets, link_data
-
-    def _run_stage_wave(
-        self, wave, job, instance, tiers, planner, frontier,
-        targets, by_port, link_data, stats, supervisor=None,
-    ) -> None:
-        """Run one topological wave of mutually-independent stages on the
-        planner's worker pool. Compute (including endpoint retries) fans
-        out to workers; bookkeeping — spans, stats, checkpoints, link
-        wiring — replays on this thread in topological order, so results,
-        reject routing, and checkpoints are byte-identical to a serial
-        run. An unavailable worker recomputes its stage inline
-        (``exec.degrade.parallel_to_serial``); a genuine stage error
-        propagates exactly as the serial loop's would. A supervisor
-        guards each task, so once a run is cancelled the still-queued
-        tasks of the wave short-circuit while in-flight ones drain —
-        the pool joins every future before bookkeeping replays."""
-        tracer = self._obs.tracer
-        metrics = self._obs.metrics
-        prepared = []
-        for stage in wave:
-            inputs = [
-                by_port[(e.src, e.src_port)]
-                for e in job.in_edges(stage.uid)
-            ]
-            out_edges = job.out_edges(stage.uid)
-            data_edges = [e for e in out_edges if not e.is_reject]
-            reject_edge = next((e for e in out_edges if e.is_reject), None)
-            restored = frontier.get(stage.uid)
-            if restored is not None and all(
-                e.name in restored[0] for e in out_edges
-            ):
-                prepared.append(
-                    {"stage": stage, "out_edges": out_edges,
-                     "restored": restored}
-                )
-                continue
-            ctx = ErrorContext(stage.name, stage.on_error or self.on_error)
-            prepared.append(
-                {"stage": stage, "inputs": inputs, "out_edges": out_edges,
-                 "data_edges": data_edges, "reject_edge": reject_edge,
-                 "ctx": ctx, "restored": None}
-            )
-
-        def make_task(entry):
-            def task():
-                started = perf_counter()
-                result = self._compute_stage(
-                    entry["stage"], entry["inputs"], entry["data_edges"],
-                    instance, job.registry, tiers, entry["ctx"],
-                )
-                return result, perf_counter() - started
-
-            if supervisor is not None:
-                return supervisor.guard(task)
-            return task
-
-        live = [e for e in prepared if e["restored"] is None]
-        pool = planner.pool()
-        entries = pool.run_all([make_task(e) for e in live])
-        metrics.count("exec.parallel.waves")
-        metrics.count("exec.parallel.tasks", len(live))
-        results = iter(entries)
-        with tracer.span(
-            "exec.parallel.wave", stages=len(wave), workers=pool.workers
-        ):
-            for entry in prepared:
-                stage = entry["stage"]
-                if entry["restored"] is not None:
-                    self._restore_stage(
-                        stage, entry["restored"], entry["out_edges"],
-                        targets, by_port, link_data, stats,
-                    )
-                    continue
-                error, payload = next(results)
-                if isinstance(error, WorkerUnavailable):
-                    metrics.count("exec.degrade.parallel_to_serial")
-                    entry["ctx"].reset()
-                    started = perf_counter()
-                    payload = (
-                        self._compute_stage(
-                            stage, entry["inputs"], entry["data_edges"],
-                            instance, job.registry, tiers, entry["ctx"],
-                        ),
-                        perf_counter() - started,
-                    )
-                elif error is not None:
-                    raise error
-                (outputs, delivered), seconds = payload
-                with tracer.span(
-                    f"etl.stage.{stage.STAGE_TYPE}", stage=stage.name
-                ) as span:
-                    outputs = self._finish_stage(
-                        stage, entry["inputs"], outputs, delivered,
-                        entry["reject_edge"], entry["ctx"], span, seconds,
-                        targets, stats,
-                    )
-                self._commit_stage(
-                    job, stage, entry["out_edges"], outputs, delivered,
-                    by_port, link_data, stats,
-                )
 
     def execute(self, job: Job, instance: Optional[Instance] = None) -> Instance:
         """Run and return only the target datasets."""
@@ -656,8 +518,6 @@ def run_job(
     on_error: Optional[str] = None,
     retry=None,
     checkpoint=None,
-    parallel: Optional[bool] = None,
-    workers: Optional[int] = None,
     fused: Optional[bool] = None,
     deadline: Optional[float] = None,
     memory_budget=None,
@@ -673,8 +533,6 @@ def run_job(
         on_error=on_error,
         retry=retry,
         checkpoint=checkpoint,
-        parallel=parallel,
-        workers=workers,
         fused=fused,
         deadline=deadline,
         memory_budget=memory_budget,
@@ -693,8 +551,6 @@ def run_job_with_links(
     on_error: Optional[str] = None,
     retry=None,
     checkpoint=None,
-    parallel: Optional[bool] = None,
-    workers: Optional[int] = None,
     fused: Optional[bool] = None,
     deadline: Optional[float] = None,
     memory_budget=None,
@@ -710,8 +566,6 @@ def run_job_with_links(
         on_error=on_error,
         retry=retry,
         checkpoint=checkpoint,
-        parallel=parallel,
-        workers=workers,
         fused=fused,
         deadline=deadline,
         memory_budget=memory_budget,

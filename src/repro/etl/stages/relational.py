@@ -383,7 +383,7 @@ class AggregatorStage(Stage):
                 lowered.append((out, plan[0], plan[1]))
             else:
                 grouped = block.group_aggregate_block(
-                    blk, self.group_keys, lowered, obs=obs, planner=planner
+                    blk, self.group_keys, lowered, obs=obs
                 )
                 return [planner.materialize_block(out_relations[0], grouped)]
         rows = kernels.group_aggregate_rows(
@@ -400,9 +400,7 @@ class AggregatorStage(Stage):
     def _execute_fused(self, data, out_relations, planner, obs):
         """Fused terminal: aggregates fold over a read-set view of the
         chain (group keys + aggregate arguments), so the filtered/
-        projected intermediate block upstream never materializes. The
-        parallel partitioned grouping composes — the view is an ordinary
-        :class:`RowBlock`."""
+        projected intermediate block upstream never materializes."""
         chain = planner.fused_chain(data, obs)
         if chain is None:
             return None
@@ -422,7 +420,7 @@ class AggregatorStage(Stage):
         )
         view = chain.view(names if reads is not None else None)
         grouped = block.group_aggregate_block(
-            view, self.group_keys, lowered, obs=obs, planner=planner
+            view, self.group_keys, lowered, obs=obs
         )
         fuse.fused_op(chain, obs, chain.length)
         return [planner.materialize_block(out_relations[0], grouped)]

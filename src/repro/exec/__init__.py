@@ -32,18 +32,7 @@ oracle (``compiled=False``) it switches itself off — and operators the
 block tier cannot express identically fall back to the row kernels per
 operator, never changing results.
 
-The fourth tier is *parallel* execution (:mod:`repro.exec.parallel`):
-independent stages run as topological wavefronts and the block join /
-grouped-aggregation kernels partition by key hash across a worker pool,
-deterministically (results stay bit-identical to serial runs). It
-resolves through the same triad — ``parallel=True`` / ``workers=N``
-engine kwargs, :func:`set_default_parallel` / :func:`set_default_workers`
-(the CLI's ``--workers N``), or ``REPRO_PARALLEL`` / ``REPRO_WORKERS``
-— and a failing worker degrades to the serial path per operator
-(``exec.degrade.parallel_to_serial``). See ``docs/execution-model.md``
-for the full five-tier handbook.
-
-The fifth tier is *fused* execution (:mod:`repro.exec.fuse`): adjacent
+The fourth tier is *fused* execution (:mod:`repro.exec.fuse`): adjacent
 block operators chain through selection vectors instead of
 materializing an intermediate ``RowBlock`` per operator, gathering
 columns once at the chain's single materialization point (and only the
@@ -52,7 +41,8 @@ is on by default there — ``fused=False`` engine kwargs,
 :func:`set_default_fused` (the CLI's ``--no-fuse``), or ``REPRO_FUSE=0``
 switch it off — and any chain whose operators decline to fuse falls
 back to the unfused block kernels per chain
-(``exec.degrade.fused_to_block``), never changing results.
+(``exec.degrade.fused_to_block``), never changing results. See
+``docs/execution-model.md`` for the full four-tier handbook.
 """
 
 from __future__ import annotations
@@ -81,20 +71,9 @@ from repro.exec.compile_block import (
     compile_block_expr,
     compile_block_predicate,
 )
-from repro.exec import block, fuse, kernels, parallel
+from repro.exec import block, fuse, kernels
 from repro.exec.block import RowBlock
 from repro.exec.fuse import FusedBlock
-from repro.exec.parallel import (
-    WorkerPool,
-    default_parallel,
-    default_workers,
-    resolve_parallel,
-    resolve_workers,
-    set_default_executor,
-    set_default_parallel,
-    set_default_workers,
-    set_parallel_threshold,
-)
 
 #: default rows per block in batched mode (overridable per engine, via
 #: ``set_default_batch_size``, or with ``REPRO_BATCH_SIZE``); the
@@ -189,16 +168,16 @@ def default_mode() -> Optional[str]:
 
 def set_default_mode(value: Optional[str]) -> None:
     """Override the process-wide execution mode — ``"rows"``,
-    ``"block"``, ``"parallel"``, or ``"auto"`` (None restores the
-    environment-variable resolution)."""
+    ``"block"``, or ``"auto"`` (None restores the environment-variable
+    resolution)."""
     config.MODE.set(value)
 
 
 def resolve_mode(value: Optional[str]) -> Optional[str]:
     """Resolve an engine constructor's ``mode`` argument: an explicit
     mode wins (validated), None means the process default — which is
-    itself usually None, meaning "use the compiled/batched/parallel
-    flags as given"."""
+    itself usually None, meaning "use the compiled/batched flags as
+    given"."""
     if value is not None:
         return config.check_mode(value)
     return default_mode()
@@ -246,8 +225,6 @@ class ExpressionPlanner:
         compiled: Optional[bool] = None,
         batched: Optional[bool] = None,
         batch_size: Optional[int] = None,
-        parallel: Optional[bool] = None,
-        workers: Optional[int] = None,
         mode: Optional[str] = None,
         fused: Optional[bool] = None,
     ) -> None:
@@ -258,31 +235,18 @@ class ExpressionPlanner:
         # row-at-a-time oracle run even with REPRO_BATCH=1
         self.batched = self.compiled and resolve_batched(batched)
         self.batch_size = resolve_batch_size(batch_size)
-        # the parallel tier partitions *block* kernels, so it sits on top
-        # of the batched tier the same way batched sits on compiled; a
-        # worker count below 2 means there is nothing to fan out to
-        self.workers = resolve_workers(workers)
-        self.parallel = (
-            self.batched and self.workers >= 2 and resolve_parallel(parallel)
-        )
         # an explicit mode overrides the per-flag resolution above:
-        # "rows"/"block"/"parallel" pin the tier, "auto" defers the
-        # decision to tune_for() once the run's data size is known
+        # "rows"/"block" pin the tier, "auto" defers the decision to
+        # tune_for() once the run's data size is known
         self.mode = resolve_mode(mode)
         if self.mode == "rows":
             self.batched = False
-            self.parallel = False
         elif self.mode == "block":
             self.batched = self.compiled
-            self.parallel = False
-        elif self.mode == "parallel":
-            self.batched = self.compiled
-            self.parallel = self.batched and self.workers >= 2
         # the fused tier chains *block* operators, so it rides on the
         # batched tier (recomputed whenever tune_for() re-tiers)
         self._fused_requested = fused
         self.fused = self.batched and resolve_fused(fused)
-        self._pool: Optional[WorkerPool] = None
         self._scalars: dict = {}
         self._predicates: dict = {}
         self._aggregates: dict = {}
@@ -295,37 +259,17 @@ class ExpressionPlanner:
         (resident-row ceiling) biases the choice toward the row tier
         once blocking operators would spill. Returns the chosen tier;
         a no-op (returning the current configuration's tier) for every
-        other mode. Tier choice never changes results — block and
-        partitioned kernels are bit-identical to the serial compiled
-        path — only how fast they arrive."""
+        other mode. Tier choice never changes results — block kernels
+        are bit-identical to the compiled row path — only how fast they
+        arrive."""
         if self.mode != "auto":
-            if self.parallel:
-                return "parallel"
             return "block" if self.batched else "rows"
         if model is None:
             from repro.cost.model import DEFAULT_MODEL as model
-        tier = model.choose_tier(n_rows, self.workers, memory_budget)
-        self.batched = self.compiled and tier in ("block", "parallel")
-        self.parallel = self.batched and tier == "parallel"
+        tier = model.choose_tier(n_rows, memory_budget)
+        self.batched = self.compiled and tier == "block"
         self.fused = self.batched and resolve_fused(self._fused_requested)
         return tier if self.compiled else "rows"
-
-    def pool(self) -> WorkerPool:
-        """The planner's worker pool (lazily built; threads by default,
-        see :func:`repro.exec.parallel.set_default_executor`)."""
-        if self._pool is None:
-            self._pool = WorkerPool(self.workers)
-        return self._pool
-
-    def partitions_for(self, n_rows: int) -> int:
-        """The degree of kernel parallelism chosen from the observed
-        cardinality ``n_rows``: 0 when this planner is serial or the
-        input is too small, else the data-size-driven partition count
-        (:func:`repro.exec.parallel.partitions_for` — independent of the
-        worker count, so results are too)."""
-        if not self.parallel:
-            return 0
-        return parallel.partitions_for(n_rows)
 
     def scalar(self, expr: Expr) -> Callable[[Any], Any]:
         """An ``env → value`` closure for ``expr``."""
@@ -497,16 +441,6 @@ __all__ = [
     "ExpressionPlanner",
     "FusedBlock",
     "RowBlock",
-    "WorkerPool",
-    "default_parallel",
-    "default_workers",
-    "parallel",
-    "resolve_parallel",
-    "resolve_workers",
-    "set_default_executor",
-    "set_default_parallel",
-    "set_default_workers",
-    "set_parallel_threshold",
     "aggregate_values_reducer",
     "block",
     "compile_aggregate",

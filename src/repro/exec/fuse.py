@@ -34,13 +34,10 @@ Observability: ``exec.fuse.chains`` counts chains with at least one
 fused operator, ``exec.fuse.operators`` the operators fused into them,
 and ``exec.fuse.intermediate_rows_avoided`` the rows that were *not*
 copied into an intermediate block at an operator boundary. The
-``exec.fuse.chain`` span wraps each chain's materialization gather
-(suppressed inside parallel worker threads, where the tracer's span
-stack is not available).
+``exec.fuse.chain`` span wraps each chain's materialization gather.
 
-Everything here is deliberately import-light: only the block container
-and the worker-thread flag, so :mod:`repro.exec` can re-export the
-module without cycles.
+Everything here is deliberately import-light: only the block container,
+so :mod:`repro.exec` can re-export the module without cycles.
 """
 
 from __future__ import annotations
@@ -48,7 +45,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.exec.block import RowBlock
-from repro.exec.parallel import _in_worker
 
 #: a handle payload: a key into the base block's columns (lazy — gather
 #: deferred to materialization), or a list already aligned to the
@@ -316,21 +312,13 @@ def materialize_fused(
     ``names`` columns (default: every handle) through the selection.
     With ``fill_missing``, names without a handle become NULL columns
     (trusted target delivery semantics). Emits the ``exec.fuse.chain``
-    span around the gather — except inside parallel worker threads,
-    where only the (locked) metrics registry is thread-safe."""
+    span around the gather."""
     names = chain.names if names is None else list(names)
     obs = chain.obs
-    span = None
-    if (
-        obs is not None
-        and obs.enabled
-        and not getattr(_in_worker, "active", False)
-    ):
-        span = obs.tracer.span(
+    if obs is not None and obs.enabled:
+        with obs.tracer.span(
             "exec.fuse.chain", operators=chain.ops, rows=chain.length
-        )
-    if span is not None:
-        with span:
+        ):
             return _gather(chain, names, fill_missing)
     return _gather(chain, names, fill_missing)
 

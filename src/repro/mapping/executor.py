@@ -34,9 +34,7 @@ from repro.exec import (
     degrade_counter,
     fuse,
     kernels,
-    resolve_parallel,
 )
-from repro.exec.parallel import WorkerUnavailable, topological_waves
 from repro.expr.algebra import transform
 from repro.expr.ast import AggregateCall, ColumnRef, Expr, Literal
 from repro.expr.evaluator import Environment, evaluate
@@ -75,8 +73,6 @@ class MappingExecutor:
         batch_size: Optional[int] = None,
         on_error: Optional[str] = None,
         degrade: bool = True,
-        parallel: Optional[bool] = None,
-        workers: Optional[int] = None,
         mode: Optional[str] = None,
         catalog=None,
         fused: Optional[bool] = None,
@@ -95,33 +91,24 @@ class MappingExecutor:
         #: set before any row is processed (``REPRO_CHECK`` ladder).
         self.check = resolve_check(check)
         self._planner = ExpressionPlanner(
-            self.registry, compiled, batched, batch_size,
-            parallel=parallel, workers=workers, mode=mode, fused=fused,
+            self.registry, compiled, batched, batch_size, mode=mode,
+            fused=fused,
         )
         self.compiled = self._planner.compiled
         self.batched = self._planner.batched
         #: selection-vector pipeline fusion (requires ``batched``).
         self.fused = self._planner.fused
-        #: execution-tier mode: "rows"/"block"/"parallel" pin the tier,
-        #: "auto" picks per run from the input size via the cost model,
-        #: None keeps the per-flag resolution.
+        #: execution-tier mode: "rows"/"block" pin the tier, "auto"
+        #: picks per run from the input size via the cost model, None
+        #: keeps the per-flag resolution.
         self.mode = self._planner.mode
         self.on_error = resolve_on_error(on_error)
         self.degrade = degrade
-        #: wavefront scheduling: mappings whose source relations are all
-        #: settled run concurrently (a mapping waits for every producer
-        #: of each relation it reads); merge order of a shared target is
-        #: the dependency order, exactly as in the serial loop.
-        self.workers = self._planner.workers
-        if self.mode is not None:
-            self.parallel = self._planner.parallel
-        else:
-            self.parallel = resolve_parallel(parallel) and self.workers >= 2
         #: statistics catalog fed back with per-relation actuals after
         #: every run (None disables the feedback loop).
         self.catalog = catalog
         #: run supervision: wall-clock deadline / cooperative cancel
-        #: checked at wave and mapping boundaries, and the resident-row
+        #: checked at mapping boundaries, and the resident-row
         #: budget blocking kernels consult (both None = unsupervised).
         self.supervisor = resolve_supervisor(supervisor, deadline, obs=self._obs)
         self.memory_budget = resolve_memory_budget(memory_budget)
@@ -466,8 +453,8 @@ class MappingExecutor:
         return targets, intermediates, rejects_dataset(rejected)
 
     def _compute_mapping(self, mapping, working, tiers, ctx, metrics):
-        """One mapping through the degradation ladder — pure compute,
-        safe off the main thread (``working`` is only read)."""
+        """One mapping through the degradation ladder — pure compute
+        (``working`` is only read)."""
         last_exc = None
         for i, executor in enumerate(tiers):
             if i:
@@ -488,9 +475,9 @@ class MappingExecutor:
     def _finish_mapping(
         self, mapping, result, ctx, produced, working, rejected
     ) -> None:
-        """One mapping's bookkeeping — always on the calling thread, in
-        dependency order: publish row-error outcomes, union (bag) into a
-        shared target, make the result visible to later mappings."""
+        """One mapping's bookkeeping, in dependency order: publish
+        row-error outcomes, union (bag) into a shared target, make the
+        result visible to later mappings."""
         rejected.extend(ctx.rejected)
         ctx.publish(self._obs.metrics)
         if mapping.target.name in produced:
@@ -520,41 +507,25 @@ class MappingExecutor:
             self.batched = self._planner.batched
             self.fused = self._planner.fused
             metrics.count(f"exec.auto.tier.{tier}")
-        parallel = (
-            self._planner.parallel if self.mode is not None else self.parallel
-        )
         tiers = self._tiers()
         rejected = []
         working = Instance()
         for dataset in instance:
             working.put(dataset)
         produced: Dict[str, Dataset] = {}
-        order = mappings.in_dependency_order()
-        if parallel:
-            waves = self._mapping_waves(order)
-        else:
-            waves = [order]
         with governed(self.memory_budget):
-            for wave in waves:
+            for mapping in mappings.in_dependency_order():
                 if self.supervisor is not None:
-                    self.supervisor.check("wave")
-                if parallel and len(wave) >= 2:
-                    self._run_mapping_wave(
-                        wave, working, tiers, produced, rejected, metrics
-                    )
-                    continue
-                for mapping in wave:
-                    if self.supervisor is not None:
-                        self.supervisor.check(mapping.name)
-                    ctx = ErrorContext(mapping.name, self.on_error)
-                    result = self._compute_mapping(
-                        mapping, working, tiers, ctx, metrics
-                    )
-                    self._finish_mapping(
-                        mapping, result, ctx, produced, working, rejected
-                    )
-                    if self.supervisor is not None:
-                        self.supervisor.committed(mapping.name)
+                    self.supervisor.check(mapping.name)
+                ctx = ErrorContext(mapping.name, self.on_error)
+                result = self._compute_mapping(
+                    mapping, working, tiers, ctx, metrics
+                )
+                self._finish_mapping(
+                    mapping, result, ctx, produced, working, rejected
+                )
+                if self.supervisor is not None:
+                    self.supervisor.committed(mapping.name)
         final_names = set(mappings.final_target_names())
         targets = Instance()
         intermediates: Dict[str, Dataset] = {}
@@ -572,77 +543,6 @@ class MappingExecutor:
                 self.catalog.observe_link(name, len(dataset))
         return targets, intermediates, rejected
 
-    def _mapping_waves(self, order: List[Mapping]) -> List[List[Mapping]]:
-        """Group dependency-ordered mappings into waves of mutually
-        independent mappings: a mapping depends on *every* producer of
-        each source relation it reads (matching
-        :meth:`MappingSet.in_dependency_order`), so two producers of one
-        shared target may share a wave, while any reader of that target
-        lands strictly later."""
-        producers: Dict[str, List[int]] = {}
-        for i, mapping in enumerate(order):
-            producers.setdefault(mapping.target.name, []).append(i)
-        index = {id(m): i for i, m in enumerate(order)}
-        return topological_waves(
-            order,
-            lambda m: index[id(m)],
-            lambda m: (
-                i
-                for b in m.sources
-                for i in producers.get(b.relation.name, ())
-                if i != index[id(m)]
-            ),
-        )
-
-    def _run_mapping_wave(
-        self, wave, working, tiers, produced, rejected, metrics
-    ) -> None:
-        """Run one wave of independent mappings on the planner's worker
-        pool. Compute fans out against a read-only ``working`` instance;
-        bookkeeping (reject publication, shared-target unions, making
-        results visible) replays on this thread in dependency order, so
-        merge order and the rejected multiset are byte-identical to a
-        serial run. An unavailable worker recomputes inline
-        (``exec.degrade.parallel_to_serial``); a genuine mapping error
-        propagates exactly as the serial loop's would."""
-        contexts = [
-            ErrorContext(mapping.name, self.on_error) for mapping in wave
-        ]
-
-        def make_task(mapping, ctx):
-            def task():
-                return self._compute_mapping(
-                    mapping, working, tiers, ctx, metrics
-                )
-
-            if self.supervisor is not None:
-                return self.supervisor.guard(task)
-            return task
-
-        pool = self._planner.pool()
-        entries = pool.run_all(
-            [make_task(m, c) for m, c in zip(wave, contexts)]
-        )
-        metrics.count("exec.parallel.waves")
-        metrics.count("exec.parallel.tasks", len(wave))
-        with self._obs.tracer.span(
-            "exec.parallel.wave", mappings=len(wave), workers=pool.workers
-        ):
-            for mapping, ctx, (error, result) in zip(wave, contexts, entries):
-                if isinstance(error, WorkerUnavailable):
-                    metrics.count("exec.degrade.parallel_to_serial")
-                    ctx.reset()
-                    result = self._compute_mapping(
-                        mapping, working, tiers, ctx, metrics
-                    )
-                elif error is not None:
-                    raise error
-                self._finish_mapping(
-                    mapping, result, ctx, produced, working, rejected
-                )
-                if self.supervisor is not None:
-                    self.supervisor.committed(mapping.name)
-
 
 def execute_mappings(
     mappings: MappingSet,
@@ -653,8 +553,6 @@ def execute_mappings(
     batched: Optional[bool] = None,
     batch_size: Optional[int] = None,
     on_error: Optional[str] = None,
-    parallel: Optional[bool] = None,
-    workers: Optional[int] = None,
     fused: Optional[bool] = None,
     check: Optional[bool] = None,
 ) -> Instance:
@@ -666,8 +564,6 @@ def execute_mappings(
         batched=batched,
         batch_size=batch_size,
         on_error=on_error,
-        parallel=parallel,
-        workers=workers,
         fused=fused,
         check=check,
     ).execute(mappings, instance)

@@ -64,10 +64,8 @@ from repro.exec import (
     degrade_counter,
     fuse,
     kernels,
-    resolve_parallel,
 )
 from repro.exec.block import relation_resolver
-from repro.exec.parallel import WorkerUnavailable, topological_waves
 from repro.expr.ast import ColumnRef
 from repro.expr.functions import DEFAULT_REGISTRY, FunctionRegistry
 from repro.obs import NULL_OBS, Observability
@@ -116,8 +114,6 @@ class OhmExecutor:
         batch_size: Optional[int] = None,
         on_error: Optional[str] = None,
         degrade: bool = True,
-        parallel: Optional[bool] = None,
-        workers: Optional[int] = None,
         mode: Optional[str] = None,
         catalog=None,
         fused: Optional[bool] = None,
@@ -136,25 +132,17 @@ class OhmExecutor:
         #: before any row is processed (``REPRO_CHECK`` ladder).
         self.check = resolve_check(check)
         self._planner = ExpressionPlanner(
-            self.registry, compiled, batched, batch_size,
-            parallel=parallel, workers=workers, mode=mode, fused=fused,
+            self.registry, compiled, batched, batch_size, mode=mode,
+            fused=fused,
         )
         self.compiled = self._planner.compiled
         self.batched = self._planner.batched
         #: selection-vector pipeline fusion (requires ``batched``).
         self.fused = self._planner.fused
-        #: execution-tier mode: "rows"/"block"/"parallel" pin the tier,
-        #: "auto" picks per run from the input size via the cost model,
-        #: None keeps the per-flag resolution.
+        #: execution-tier mode: "rows"/"block" pin the tier, "auto"
+        #: picks per run from the input size via the cost model, None
+        #: keeps the per-flag resolution.
         self.mode = self._planner.mode
-        #: wavefront scheduling: independent operators of one
-        #: topological level run concurrently on the planner's worker
-        #: pool (kernel partitioning additionally requires ``batched``).
-        self.workers = self._planner.workers
-        if self.mode is not None:
-            self.parallel = self._planner.parallel
-        else:
-            self.parallel = resolve_parallel(parallel) and self.workers >= 2
         #: run-level row error policy; an operator may override via an
         #: ``on_error`` attribute of its own.
         self.on_error = resolve_on_error(on_error)
@@ -557,7 +545,7 @@ class OhmExecutor:
                 return None
             lowered.append((name, plan[0], plan[1]))
         return block.group_aggregate_block(
-            blk, op.keys, lowered, obs=self._obs, planner=planner
+            blk, op.keys, lowered, obs=self._obs
         )
 
     def _group_fused(self, op: Group, chain, planner: ExpressionPlanner):
@@ -579,7 +567,7 @@ class OhmExecutor:
         view = chain.view(names if reads is not None else None)
         fuse.fused_op(chain, self._obs, chain.length)
         return block.group_aggregate_block(
-            view, op.keys, lowered, obs=self._obs, planner=planner
+            view, op.keys, lowered, obs=self._obs
         )
 
     def _run_nest(
@@ -676,8 +664,8 @@ class OhmExecutor:
         return result
 
     def _compute_op(self, op, inputs, out_edges, instance, tiers, ctx, metrics):
-        """One operator's pure compute through the degradation ladder —
-        safe off the main thread (no spans, no shared-state writes)."""
+        """One operator's pure compute through the degradation ladder
+        (no spans, no shared-state writes)."""
         if isinstance(op, Target):
             delivered = self._attempt(
                 lambda p: self._run_target(op, inputs[0], p, errors=ctx),
@@ -707,9 +695,8 @@ class OhmExecutor:
         self, op, inputs, outputs, out_edges, ctx, span, seconds,
         targets, by_edge, edge_data, rejected,
     ) -> None:
-        """One operator's bookkeeping — always on the calling thread, in
-        topological order, so wavefront runs publish byte-identically to
-        serial runs."""
+        """One operator's bookkeeping: deliver targets, publish rejects
+        and metrics, wire outputs onto the out-edges."""
         metrics = self._obs.metrics
         if isinstance(op, Target):
             targets.put(outputs[0])
@@ -749,61 +736,38 @@ class OhmExecutor:
             self.batched = self._planner.batched
             self.fused = self._planner.fused
             metrics.count(f"exec.auto.tier.{tier}")
-        parallel = (
-            self._planner.parallel if self.mode is not None else self.parallel
-        )
         tiers = self._ladder()
         graph.propagate_schemas()
         edge_data: Dict[str, Dataset] = {}
         by_edge: Dict[Tuple[str, int], Dataset] = {}
         targets = Instance()
         rejected: List[RejectedRow] = []
-        order = graph.topological_order()
-        if parallel:
-            waves = topological_waves(
-                order,
-                lambda op: op.uid,
-                lambda op: (e.src for e in graph.in_edges(op.uid)),
-            )
-        else:
-            waves = [order]
         with governed(self.memory_budget), tracer.span(
             "ohm.run", graph=graph.name
         ):
-            for wave in waves:
+            for op in graph.topological_order():
                 if supervisor is not None:
-                    supervisor.check("wave")
-                if parallel and len(wave) >= 2:
-                    self._run_wave(
-                        wave, graph, instance, tiers,
-                        targets, by_edge, edge_data, rejected, supervisor,
+                    supervisor.check(op.uid)
+                inputs = [
+                    by_edge[(e.src, e.src_port)]
+                    for e in graph.in_edges(op.uid)
+                ]
+                out_edges = graph.out_edges(op.uid)
+                ctx = ErrorContext(
+                    op.uid, getattr(op, "on_error", None) or self.on_error
+                )
+                with tracer.span(f"ohm.op.{op.KIND}", uid=op.uid) as span:
+                    started = perf_counter() if observing else 0.0
+                    outputs = self._compute_op(
+                        op, inputs, out_edges, instance, tiers, ctx, metrics
                     )
-                    continue
-                for op in wave:
-                    if supervisor is not None:
-                        supervisor.check(op.uid)
-                    inputs = [
-                        by_edge[(e.src, e.src_port)]
-                        for e in graph.in_edges(op.uid)
-                    ]
-                    out_edges = graph.out_edges(op.uid)
-                    ctx = ErrorContext(
-                        op.uid, getattr(op, "on_error", None) or self.on_error
+                    seconds = perf_counter() - started if observing else 0.0
+                    self._finish_op(
+                        op, inputs, outputs, out_edges, ctx, span, seconds,
+                        targets, by_edge, edge_data, rejected,
                     )
-                    with tracer.span(f"ohm.op.{op.KIND}", uid=op.uid) as span:
-                        started = perf_counter() if observing else 0.0
-                        outputs = self._compute_op(
-                            op, inputs, out_edges, instance, tiers, ctx, metrics
-                        )
-                        seconds = (
-                            perf_counter() - started if observing else 0.0
-                        )
-                        self._finish_op(
-                            op, inputs, outputs, out_edges, ctx, span, seconds,
-                            targets, by_edge, edge_data, rejected,
-                        )
-                    if supervisor is not None:
-                        supervisor.committed(op.uid)
+                if supervisor is not None:
+                    supervisor.committed(op.uid)
         if self.catalog is not None:
             # close the feedback loop: the next estimate_graph over the
             # same edge names re-plans from these actuals
@@ -811,72 +775,6 @@ class OhmExecutor:
             for name, dataset in edge_data.items():
                 self.catalog.observe_link(name, len(dataset))
         return targets, edge_data, rejected
-
-    def _run_wave(
-        self, wave, graph, instance, tiers,
-        targets, by_edge, edge_data, rejected, supervisor=None,
-    ) -> None:
-        """Run one topological wave of mutually-independent operators on
-        the planner's worker pool. Compute fans out; bookkeeping (spans,
-        metrics, output wiring) replays on this thread in topological
-        order. An unavailable worker recomputes inline
-        (``exec.degrade.parallel_to_serial``); a genuine operator error
-        propagates exactly as the serial loop's would."""
-        tracer = self._obs.tracer
-        metrics = self._obs.metrics
-        prepared = []
-        for op in wave:
-            inputs = [
-                by_edge[(e.src, e.src_port)] for e in graph.in_edges(op.uid)
-            ]
-            out_edges = graph.out_edges(op.uid)
-            ctx = ErrorContext(
-                op.uid, getattr(op, "on_error", None) or self.on_error
-            )
-            prepared.append((op, inputs, out_edges, ctx))
-
-        def make_task(op, inputs, out_edges, ctx):
-            def task():
-                started = perf_counter()
-                outputs = self._compute_op(
-                    op, inputs, out_edges, instance, tiers, ctx, metrics
-                )
-                return outputs, perf_counter() - started
-
-            if supervisor is not None:
-                return supervisor.guard(task)
-            return task
-
-        pool = self._planner.pool()
-        entries = pool.run_all([make_task(*entry) for entry in prepared])
-        metrics.count("exec.parallel.waves")
-        metrics.count("exec.parallel.tasks", len(wave))
-        with tracer.span(
-            "exec.parallel.wave", operators=len(wave), workers=pool.workers
-        ):
-            for (op, inputs, out_edges, ctx), (error, payload) in zip(
-                prepared, entries
-            ):
-                if isinstance(error, WorkerUnavailable):
-                    metrics.count("exec.degrade.parallel_to_serial")
-                    ctx.reset()
-                    started = perf_counter()
-                    payload = (
-                        self._compute_op(
-                            op, inputs, out_edges, instance, tiers, ctx, metrics
-                        ),
-                        perf_counter() - started,
-                    )
-                elif error is not None:
-                    raise error
-                outputs, seconds = payload
-                with tracer.span(f"ohm.op.{op.KIND}", uid=op.uid) as span:
-                    self._finish_op(
-                        op, inputs, outputs, out_edges, ctx, span, seconds,
-                        targets, by_edge, edge_data, rejected,
-                    )
-                if supervisor is not None:
-                    supervisor.committed(op.uid)
 
 
 def execute(

@@ -8,7 +8,7 @@ mapping executor):
 
 * :mod:`repro.supervision.supervisor` — :class:`Budget` and
   :class:`RunSupervisor`: per-run wall-clock deadlines with
-  cooperative cancellation at stage/wave/chain boundaries, raising a
+  cooperative cancellation at stage/operator/mapping boundaries, raising a
   structured :class:`~repro.errors.RunCancelled` that carries the
   committed (resumable) frontier;
 * :mod:`repro.supervision.breaker` — :class:`CircuitBreaker`

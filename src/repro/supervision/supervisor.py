@@ -1,7 +1,7 @@
 """Run supervision: wall-clock budgets and cooperative cancellation.
 
 A :class:`RunSupervisor` is the per-run authority on "should this run
-keep going". The engines thread one through their stage/wave/chain
+keep going". The engines thread one through their stage/operator/mapping
 loops and call :meth:`RunSupervisor.check` at every boundary; when the
 run's :class:`Budget` deadline elapses (or :meth:`RunSupervisor.cancel`
 was called from another thread) the next check raises a structured
@@ -9,11 +9,10 @@ was called from another thread) the next check raises a structured
 stages/operators whose outputs were already committed — with a
 checkpoint store configured, exactly the resume point.
 
-Cancellation is *cooperative*: nothing is killed mid-kernel. Parallel
-waves drain — :meth:`RunSupervisor.guard` wraps worker tasks so queued
-tasks short-circuit once the run is cancelled, while tasks already in
-flight run to completion and the worker pool joins every future before
-the engine re-checks at the wave boundary (no leaked futures).
+Cancellation is *cooperative*: nothing is killed mid-kernel. A task a
+caller runs off the engine thread can be wrapped with
+:meth:`RunSupervisor.guard` so it short-circuits once the run is
+cancelled, while a task already in flight runs to completion.
 
 The deadline resolves through the standard config triad:
 ``deadline=`` kwarg > :func:`set_default_deadline` >
@@ -151,7 +150,8 @@ class RunSupervisor:
         )
 
     def check(self, point: str) -> None:
-        """A cooperative cancellation point (stage/wave/chain boundary).
+        """A cooperative cancellation point (stage/operator/mapping
+        boundary).
 
         Raises :class:`RunCancelled` when the run is cancelled or the
         deadline has elapsed; otherwise returns after bumping the
@@ -175,11 +175,10 @@ class RunSupervisor:
         self._count(obs, "exec.supervise.checks")
 
     def guard(self, fn: Callable) -> Callable:
-        """Wrap a worker task so it short-circuits when the run is
-        already cancelled (or past deadline) at the moment it is
-        dequeued. Tasks in flight are never interrupted — the pool
-        joins every future, so the wave drains and the engine re-raises
-        at its own boundary check."""
+        """Wrap a task so it short-circuits when the run is already
+        cancelled (or past deadline) at the moment it starts. Tasks in
+        flight are never interrupted — the engine re-raises at its own
+        boundary check."""
         supervisor = self
 
         def guarded(*args, **kwargs):

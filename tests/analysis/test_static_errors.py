@@ -1,7 +1,7 @@
 """Regression tests for the narrowed exception paths: static plan
 defects (``STATIC_ERRORS``) and harness bugs must surface immediately —
 never absorbed by row policies, never retried down the degradation
-ladder, never misreported as worker unavailability."""
+ladder."""
 
 import pytest
 
@@ -20,7 +20,6 @@ from repro.etl.stages import (
     TableSource,
     TableTarget,
 )
-from repro.exec.parallel import WorkerPool, WorkerUnavailable
 from repro.mapping.executor import MappingExecutor
 from repro.mapping.model import Mapping, MappingSet, SourceBinding
 from repro.ohm import Filter, OhmGraph, Source, Target
@@ -171,41 +170,6 @@ class TestTypecheckNarrowing:
         ctx = tc.TypeContext(REL)
         with pytest.raises(TypeError, match="harness bug"):
             tc.infer_type(parse("id > 1"), ctx)
-
-
-class TestWorkerPoolNarrowing:
-    """Only resource failures (RuntimeError/OSError) downgrade to
-    :class:`WorkerUnavailable`; a TypeError from the harness itself
-    propagates."""
-
-    def tasks(self, n=3):
-        return [lambda i=i: i for i in range(n)]
-
-    def test_resource_failure_degrades(self, monkeypatch):
-        def broken(self):
-            raise RuntimeError("cannot schedule new futures")
-
-        monkeypatch.setattr(WorkerPool, "_resolve_executor", broken)
-        entries = WorkerPool(workers=2).run_all(self.tasks())
-        assert all(isinstance(e, WorkerUnavailable) for e, _ in entries)
-
-    def test_harness_bug_propagates(self, monkeypatch):
-        def broken(self):
-            raise TypeError("harness bug")
-
-        monkeypatch.setattr(WorkerPool, "_resolve_executor", broken)
-        with pytest.raises(TypeError, match="harness bug"):
-            WorkerPool(workers=2).run_all(self.tasks())
-
-    def test_submit_failure_degrades(self):
-        class BrokenExecutor:
-            def submit(self, fn, *a, **kw):
-                raise RuntimeError("shutdown")
-
-        entries = WorkerPool(executor=BrokenExecutor()).run_all(
-            self.tasks()
-        )
-        assert all(isinstance(e, WorkerUnavailable) for e, _ in entries)
 
 
 class TestScalarFunctionNarrowing:

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.compile import compile_job
-from repro.cost import derived_block_min_rows, derived_parallel_min_rows
+from repro.config import MODES
+from repro.cost import derived_block_min_rows
+from repro.errors import ValidationError
 from repro.etl import EtlEngine
 from repro.mapping import MappingExecutor
 from repro.obs import Observability
@@ -40,63 +42,54 @@ class TestTierSelection:
         engine.execute(build_chain_job(4), generate_chain_instance(n))
         assert _auto_tier_metric(obs) == "block"
 
-    def test_large_input_partitions(self):
-        n = derived_parallel_min_rows() + 500
+    def test_large_input_runs_on_block_kernels(self):
+        n = derived_block_min_rows() * 30
         obs = Observability(stats=True)
-        engine = EtlEngine(obs=obs, mode="auto", workers=2)
-        engine.execute(build_chain_job(4), generate_chain_instance(n))
-        assert _auto_tier_metric(obs) == "parallel"
-
-    def test_single_worker_never_partitions(self):
-        n = derived_parallel_min_rows() + 500
-        obs = Observability(stats=True)
-        engine = EtlEngine(obs=obs, mode="auto", workers=1)
+        engine = EtlEngine(obs=obs, mode="auto")
         engine.execute(build_chain_job(4), generate_chain_instance(n))
         assert _auto_tier_metric(obs) == "block"
 
 
 class TestExplicitModes:
-    def test_mode_rows_disables_batching_and_parallelism(self):
-        engine = EtlEngine(mode="rows", batched=True, parallel=True)
+    def test_mode_rows_disables_batching(self):
+        engine = EtlEngine(mode="rows", batched=True)
         assert engine.batched is False
-        assert engine.parallel is False
 
     def test_mode_block_enables_batching(self):
         engine = EtlEngine(mode="block")
         assert engine.batched is True
-        assert engine.parallel is False
-
-    def test_mode_parallel_enables_both(self):
-        engine = EtlEngine(mode="parallel", workers=4)
-        assert engine.batched is True
-        assert engine.parallel is True
 
     def test_invalid_mode_rejected(self):
-        from repro.errors import ValidationError
-
         with pytest.raises(ValidationError):
             EtlEngine(mode="turbo")
+
+    @pytest.mark.parametrize("via", ["kwarg", "env"])
+    def test_parallel_mode_is_rejected(self, via, monkeypatch):
+        kwargs = {"mode": "parallel"} if via == "kwarg" else {}
+        if via == "env":
+            monkeypatch.setenv("REPRO_MODE", "parallel")
+        with pytest.raises(ValidationError) as info:
+            EtlEngine(**kwargs)
+        assert "expected one of ('rows', 'block', 'auto')" in str(info.value)
 
 
 class TestAutoParity:
     """Whatever tier auto picks, results match the interpreting oracle."""
 
-    @pytest.mark.parametrize("n", [50, 2000, 9000], ids=["rows", "block",
-                                                         "parallel"])
+    @pytest.mark.parametrize("n", [50, 2000], ids=["rows", "block"])
     def test_etl_engine(self, n):
         job = build_chain_job(6)
         instance = generate_chain_instance(n)
         oracle = EtlEngine(compiled=False).execute(job, instance)
-        auto = EtlEngine(mode="auto", workers=2).execute(job, instance)
+        auto = EtlEngine(mode="auto").execute(job, instance)
         assert auto.same_bags(oracle)
 
-    @pytest.mark.parametrize("n", [50, 2000, 9000], ids=["rows", "block",
-                                                         "parallel"])
+    @pytest.mark.parametrize("n", [50, 2000], ids=["rows", "block"])
     def test_ohm_executor(self, n):
         graph = compile_job(build_chain_job(6))
         instance = generate_chain_instance(n)
         oracle = OhmExecutor(compiled=False).execute(graph, instance)
-        auto = OhmExecutor(mode="auto", workers=2).execute(graph, instance)
+        auto = OhmExecutor(mode="auto").execute(graph, instance)
         assert auto.same_bags(oracle)
 
     def test_mapping_executor(self):
@@ -107,15 +100,13 @@ class TestAutoParity:
         mappings = orchid.to_mappings(orchid.import_etl(job))
         instance = generate_instance(150)
         oracle = MappingExecutor(compiled=False).execute(mappings, instance)
-        auto = MappingExecutor(mode="auto", workers=2).execute(
-            mappings, instance
-        )
+        auto = MappingExecutor(mode="auto").execute(mappings, instance)
         assert auto.same_bags(oracle)
 
     def test_example_job_all_modes_agree(self):
         job = build_example_job()
         instance = generate_instance(120)
         oracle = EtlEngine(compiled=False).execute(job, instance)
-        for mode in ("rows", "block", "parallel", "auto"):
-            result = EtlEngine(mode=mode, workers=2).execute(job, instance)
+        for mode in MODES:
+            result = EtlEngine(mode=mode).execute(job, instance)
             assert result.same_bags(oracle), mode

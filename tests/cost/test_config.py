@@ -11,8 +11,7 @@ from repro.errors import ValidationError
 def _clean_overrides():
     """Every test leaves the process-wide knobs untouched."""
     yield
-    for name in ("batch_size", "workers", "on_error", "mode",
-                 "parallel_min_rows", "cost_based"):
+    for name in ("batch_size", "on_error", "mode", "cost_based"):
         config.knob(name).set(None)
 
 
@@ -27,11 +26,11 @@ class TestPrecedence:
         assert knob.resolve(256) == 256  # the kwarg always wins
 
     def test_setter_none_restores_env_resolution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        config.WORKERS.set(6)
-        assert config.WORKERS.default() == 6
-        config.WORKERS.set(None)
-        assert config.WORKERS.default() == 3
+        monkeypatch.setenv("REPRO_BATCH_SIZE", "300")
+        config.BATCH_SIZE.set(600)
+        assert config.BATCH_SIZE.default() == 600
+        config.BATCH_SIZE.set(None)
+        assert config.BATCH_SIZE.default() == 300
 
     def test_env_fallback_chain(self, monkeypatch):
         # batch_size reads REPRO_BATCH_SIZE first, then REPRO_BATCH
@@ -47,16 +46,15 @@ class TestPrecedence:
         assert config.BATCH_SIZE.default() == config.DEFAULT_BATCH_SIZE
 
     def test_triads_delegate_to_the_registry(self):
-        from repro.exec import set_default_workers
-        from repro.exec.parallel import resolve_workers
+        from repro.exec import resolve_batch_size, set_default_batch_size
 
-        set_default_workers(5)
+        set_default_batch_size(5)
         try:
-            assert resolve_workers(None) == 5
-            assert config.WORKERS.default() == 5
-            assert resolve_workers(2) == 2
+            assert resolve_batch_size(None) == 5
+            assert config.BATCH_SIZE.default() == 5
+            assert resolve_batch_size(2) == 2
         finally:
-            set_default_workers(None)
+            set_default_batch_size(None)
 
     def test_resilience_triads_delegate(self):
         from repro.resilience import default_on_error, set_default_on_error
@@ -102,30 +100,13 @@ class TestValidation:
 
 
 class TestDerivedDefaults:
-    def test_parallel_min_rows_comes_from_the_cost_model(self):
-        from repro.cost.model import derived_parallel_min_rows
-        from repro.exec.parallel import parallel_threshold
-
-        assert config.PARALLEL_MIN_ROWS.default() == derived_parallel_min_rows()
-        assert parallel_threshold() == derived_parallel_min_rows()
-
-    def test_threshold_override_still_wins(self, monkeypatch):
-        from repro.exec.parallel import parallel_threshold, set_parallel_threshold
-
-        monkeypatch.setenv("REPRO_PARALLEL_MIN_ROWS", "100")
-        assert parallel_threshold() == 100
-        set_parallel_threshold(50)
-        try:
-            assert parallel_threshold() == 50
-        finally:
-            set_parallel_threshold(None)
-
     def test_snapshot_covers_every_knob(self):
         snap = config.snapshot()
-        for name in ("compiled", "batched", "batch_size", "parallel",
-                     "workers", "parallel_min_rows", "on_error",
-                     "max_retries", "checkpoint_dir", "cost_based", "mode"):
-            assert name in snap
+        assert sorted(snap) == [
+            "batch_size", "batched", "breaker", "check", "checkpoint_dir",
+            "compiled", "cost_based", "deadline", "fused", "max_retries",
+            "memory_budget", "mode", "on_error",
+        ]
         assert snap["compiled"] is True
         assert snap["cost_based"] is True
         assert snap["mode"] is None

@@ -1,7 +1,7 @@
 """Parity audit for the fused (selection-vector) tier.
 
 Fusion must be invisible: for every runtime (ETL engine, OHM executor,
-mapping executor), serial or parallel, under the skip and reject row
+mapping executor), under the skip and reject row
 policies, a fused run must produce byte-identical accepted rows and the
 identical rejected multiset as the unfused block tier — including NULL
 three-valued logic and rows erroring mid-chain. Randomized linear chains
@@ -47,10 +47,9 @@ from repro.workloads import build_faulty_job, generate_faulty_instance
 # -- the three runtimes, fused on/off ----------------------------------------
 
 
-def run_etl(instance, policy, workers, fused):
+def run_etl(instance, policy, fused):
     engine = EtlEngine(
         compiled=True, batched=True, on_error=policy, fused=fused,
-        parallel=workers is not None, workers=workers or 1,
     )
     targets, _ = engine.run(build_faulty_job(), instance)
     accepted = Counter(format_row(r) for r in targets.dataset("Premium").rows)
@@ -58,11 +57,10 @@ def run_etl(instance, policy, workers, fused):
     return accepted, rejected
 
 
-def run_ohm(instance, policy, workers, fused):
+def run_ohm(instance, policy, fused):
     graph = compile_job(build_faulty_job())
     executor = OhmExecutor(
         compiled=True, batched=True, on_error=policy, fused=fused,
-        parallel=workers is not None, workers=workers or 1,
     )
     targets, _edges, rejects = executor.run_with_rejects(graph, instance)
     accepted = Counter(format_row(r) for r in targets.dataset("Premium").rows)
@@ -70,11 +68,10 @@ def run_ohm(instance, policy, workers, fused):
     return accepted, rejected
 
 
-def run_mapping(instance, policy, workers, fused):
+def run_mapping(instance, policy, fused):
     mappings = ohm_to_mappings(compile_job(build_faulty_job()))
     executor = MappingExecutor(
         compiled=True, batched=True, on_error=policy, fused=fused,
-        parallel=workers is not None, workers=workers or 1,
     )
     targets, _inter, rejects = executor.run_with_rejects(mappings, instance)
     accepted = Counter(format_row(r) for r in targets.dataset("Premium").rows)
@@ -87,25 +84,23 @@ RUNTIMES = [("etl", run_etl), ("ohm", run_ohm), ("mapping", run_mapping)]
 
 class TestFusedUnfusedParity:
     """accepted AND rejected multisets must be invariant under fusion,
-    per runtime, serial and parallel, for both absorbing policies."""
+    per runtime, for both absorbing policies."""
 
     @pytest.mark.parametrize("runtime", RUNTIMES, ids=lambda r: r[0])
-    @pytest.mark.parametrize("workers", [None, 4], ids=["serial", "parallel"])
     @pytest.mark.parametrize("policy", ["skip", "reject"])
-    def test_matches_unfused(self, runtime, workers, policy):
+    def test_matches_unfused(self, runtime, policy):
         name, runner = runtime
         instance, _plan = generate_faulty_instance(n=60, seed=21, poison=7)
-        unfused = runner(instance, policy, workers, False)
-        fused = runner(instance, policy, workers, True)
+        unfused = runner(instance, policy, False)
+        fused = runner(instance, policy, True)
         assert fused == unfused, (
-            f"{name} diverged under fusion "
-            f"(workers={workers}, policy={policy})"
+            f"{name} diverged under fusion (policy={policy})"
         )
 
     def test_reject_channel_carries_the_poison(self):
         # guard against vacuous parity: the workload really rejects
         instance, _plan = generate_faulty_instance(n=60, seed=21, poison=7)
-        _accepted, rejected = run_etl(instance, "reject", None, True)
+        _accepted, rejected = run_etl(instance, "reject", True)
         assert sum(rejected.values()) == 7
 
 

@@ -234,12 +234,11 @@ class TestEngineParity:
         instance = generate_instance(n_customers=200)
         return instance, EtlEngine().execute(build_example_job(), instance)
 
-    @pytest.mark.parametrize("tier", ["serial", "parallel", "fused"])
+    @pytest.mark.parametrize("tier", ["serial", "fused"])
     def test_etl_engine(self, baseline, tier):
         instance, expected = baseline
         flags = {
             "serial": {},
-            "parallel": {"batched": True, "workers": 3},
             "fused": {"batched": True, "fused": True},
         }[tier]
         obs = Observability(stats=True)
@@ -278,9 +277,9 @@ class TestAutoTierUnderBudget:
         from repro.cost.model import DEFAULT_MODEL, choose_tier
 
         n = 50_000
-        assert choose_tier(n, workers=4) == "parallel"
-        assert choose_tier(n, workers=4, memory_budget=1000) == "rows"
-        assert choose_tier(n, workers=4, memory_budget=n) == "parallel"
+        assert choose_tier(n) == "block"
+        assert choose_tier(n, memory_budget=1000) == "rows"
+        assert choose_tier(n, memory_budget=n) == "block"
         assert DEFAULT_MODEL.spill_cost(n, 1000) > 0
         assert DEFAULT_MODEL.spill_cost(n, None) == 0
         assert DEFAULT_MODEL.spill_cost(n, MemoryBudget(1000)) > 0

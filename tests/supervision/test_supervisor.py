@@ -158,7 +158,7 @@ class TestResolveTriad:
 
 class TestEngineCancellation:
     """A pre-cancelled (or instantly-expiring) supervisor cancels all
-    three runtimes cleanly, serial and parallel alike."""
+    three runtimes cleanly."""
 
     def _cancelled_supervisor(self):
         sup = RunSupervisor()
@@ -170,14 +170,6 @@ class TestEngineCancellation:
         engine = EtlEngine(supervisor=self._cancelled_supervisor())
         with pytest.raises(RunCancelled):
             engine.run(build_faulty_job(), instance)
-
-    def test_etl_engine_parallel_drains(self):
-        instance = generate_instance(n_customers=40)
-        engine = EtlEngine(
-            workers=4, supervisor=self._cancelled_supervisor()
-        )
-        with pytest.raises(RunCancelled):
-            engine.run(build_example_job(), instance)
 
     def test_etl_engine_deadline_reports_frontier(self):
         clock = FakeClock()

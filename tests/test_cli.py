@@ -84,6 +84,18 @@ class TestErrors:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize(
+        "flags", [["--workers", "2"], ["--mode", "parallel"]],
+        ids=["workers", "mode-parallel"],
+    )
+    def test_removed_tier_flags_are_usage_errors(
+        self, job_xml_path, flags, capsys
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(["show", job_xml_path, *flags])
+        assert info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
 
 class TestOptimize:
     def test_optimized_job_round_trips(self, job_xml_path, tmp_path, capsys):
