@@ -80,8 +80,7 @@ class Knob:
     """One named tuning knob with the standard resolution precedence.
 
     :param env: environment variable name(s), tried in order.
-    :param default: the baked-in default — a value, or a 0-arg callable
-        evaluated at resolution time (so derived defaults stay live).
+    :param default: the baked-in default value.
     :param parse: turns an env string into a value; returning ``None``
         skips that variable (it may also raise, e.g. on a malformed
         ``REPRO_MAX_RETRIES``).
@@ -135,8 +134,7 @@ class Knob:
         value = self.from_env()
         if value is not None:
             return value
-        base = self._default
-        return base() if callable(base) else base
+        return self._default
 
     def resolve(self, explicit: Any) -> Any:
         """Resolve an engine constructor's kwarg: an explicit value wins

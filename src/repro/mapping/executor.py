@@ -27,30 +27,15 @@ import itertools
 from typing import Dict, List, Optional
 
 from repro.data.dataset import Dataset, Instance, Row
-from repro.errors import STATIC_ERRORS, ExecutionError, RunCancelled
-from repro.exec import (
-    ExpressionPlanner,
-    block,
-    degrade_counter,
-    fuse,
-    kernels,
-)
+from repro.errors import ExecutionError
+from repro.exec import ExpressionPlanner, block, fuse, kernels
+from repro.exec.driver import RunOptions, drive
 from repro.expr.algebra import transform
 from repro.expr.ast import AggregateCall, ColumnRef, Expr, Literal
 from repro.expr.evaluator import Environment, evaluate
 from repro.expr.functions import DEFAULT_REGISTRY, FunctionRegistry
 from repro.mapping.model import Mapping, MappingSet
-from repro.obs import NULL_OBS, Observability
-from repro.resilience import (
-    ErrorContext,
-    rejects_dataset,
-    resolve_on_error,
-)
-from repro.supervision import (
-    governed,
-    resolve_memory_budget,
-    resolve_supervisor,
-)
+from repro.resilience import ErrorContext, rejects_dataset
 
 
 class MappingExecutor:
@@ -64,97 +49,11 @@ class MappingExecutor:
     selection-vector chains through batched blocks and compiled row
     kernels to the interpreting oracle."""
 
-    def __init__(
-        self,
-        registry: Optional[FunctionRegistry] = None,
-        obs: Optional[Observability] = None,
-        compiled: Optional[bool] = None,
-        batched: Optional[bool] = None,
-        batch_size: Optional[int] = None,
-        on_error: Optional[str] = None,
-        degrade: bool = True,
-        mode: Optional[str] = None,
-        catalog=None,
-        fused: Optional[bool] = None,
-        deadline: Optional[float] = None,
-        memory_budget=None,
-        supervisor=None,
-        check: Optional[bool] = None,
-    ):
+    def __init__(self, registry: Optional[FunctionRegistry] = None, **options):
         self.registry = registry or DEFAULT_REGISTRY
-        self._obs = obs or NULL_OBS
-        # local import: repro.analysis imports the mapping model, so a
-        # module-level import here would be circular
-        from repro.analysis import resolve_check
-
-        #: whether :func:`repro.analysis.check_plan` vets the mapping
-        #: set before any row is processed (``REPRO_CHECK`` ladder).
-        self.check = resolve_check(check)
-        self._planner = ExpressionPlanner(
-            self.registry, compiled, batched, batch_size, mode=mode,
-            fused=fused,
-        )
-        self.compiled = self._planner.compiled
-        self.batched = self._planner.batched
-        #: selection-vector pipeline fusion (requires ``batched``).
-        self.fused = self._planner.fused
-        #: execution-tier mode: "rows"/"block" pin the tier, "auto"
-        #: picks per run from the input size via the cost model, None
-        #: keeps the per-flag resolution.
-        self.mode = self._planner.mode
-        self.on_error = resolve_on_error(on_error)
-        self.degrade = degrade
-        #: statistics catalog fed back with per-relation actuals after
-        #: every run (None disables the feedback loop).
-        self.catalog = catalog
-        #: run supervision: wall-clock deadline / cooperative cancel
-        #: checked at mapping boundaries, and the resident-row
-        #: budget blocking kernels consult (both None = unsupervised).
-        self.supervisor = resolve_supervisor(supervisor, deadline, obs=self._obs)
-        self.memory_budget = resolve_memory_budget(memory_budget)
-
-    # -- fault tolerance -----------------------------------------------------------
-
-    def _tiers(self) -> List["MappingExecutor"]:
-        """Degradation ladder: this executor, then (on failure) sibling
-        executors at the lower tiers sharing registry and obs."""
-        tiers: List[MappingExecutor] = [self]
-        if not self.degrade:
-            return tiers
-        if self.fused:
-            tiers.append(
-                MappingExecutor(
-                    self.registry,
-                    self._obs,
-                    compiled=True,
-                    batched=True,
-                    batch_size=self._planner.batch_size,
-                    fused=False,
-                    degrade=False,
-                )
-            )
-        if self.batched:
-            tiers.append(
-                MappingExecutor(
-                    self.registry,
-                    self._obs,
-                    compiled=True,
-                    batched=False,
-                    batch_size=self._planner.batch_size,
-                    degrade=False,
-                )
-            )
-        if self.compiled:
-            tiers.append(
-                MappingExecutor(
-                    self.registry,
-                    self._obs,
-                    compiled=False,
-                    batched=False,
-                    degrade=False,
-                )
-            )
-        return tiers
+        #: the resolved run options (see
+        #: :class:`~repro.exec.driver.RunOptions`).
+        self.options = RunOptions(False, **options)
 
     @staticmethod
     def _source_row_of(mapping: Mapping):
@@ -175,34 +74,37 @@ class MappingExecutor:
         self,
         mapping: Mapping,
         instance: Instance,
+        planner: Optional[ExpressionPlanner] = None,
         errors: Optional[ErrorContext] = None,
     ) -> Dataset:
-        """Evaluate one mapping; returns the dataset it asserts into its
+        """Evaluate one mapping at ``planner``'s tier (this executor's
+        top tier when omitted); returns the dataset it asserts into its
         target relation. Row errors are absorbed into ``errors`` when an
         active policy context is supplied."""
+        planner = planner or self.options.planner(self.registry)
         if mapping.is_opaque:
             return self._execute_opaque(mapping, instance)
-        if self._planner.fused:
-            result = self._execute_fused(mapping, instance)
+        if planner.fused:
+            result = self._execute_fused(mapping, instance, planner)
             if result is not None:
                 return result
-        if self._planner.batched:
-            result = self._execute_block(mapping, instance)
+        if planner.batched:
+            result = self._execute_block(mapping, instance, planner)
             if result is not None:
                 return result
         handling = errors is not None and errors.handling
         row_of = self._source_row_of(mapping) if handling else None
-        joined = self._satisfying_rows(mapping, instance, errors=errors)
+        joined = self._satisfying_rows(mapping, instance, planner, errors)
         if mapping.is_grouping:
-            return self._grouped_result(mapping, joined)
+            return self._grouped_result(mapping, joined, planner)
         rows = kernels.project_rows(
             joined,
             [
-                (col, self._planner.scalar(expr))
+                (col, planner.scalar(expr))
                 for col, expr in mapping.derivations
             ],
             defaults={attr.name: None for attr in mapping.target},
-            obs=self._obs,
+            obs=self.options.obs,
             on_error=(
                 errors.kernel_handler(row_of=row_of) if handling else None
             ),
@@ -210,7 +112,7 @@ class MappingExecutor:
         return Dataset(mapping.target, rows, validate=False)
 
     def _execute_fused(
-        self, mapping: Mapping, instance: Instance
+        self, mapping: Mapping, instance: Instance, planner: ExpressionPlanner
     ) -> Optional[Dataset]:
         """Fused evaluation of the single-source, non-grouping mapping
         shape: the where clause narrows a selection vector over the
@@ -226,7 +128,7 @@ class MappingExecutor:
         if any(col not in target_names for col, _e in mapping.derivations):
             return None
         dataset = self._source_dataset(binding.relation.name, instance)
-        chain = self._planner.fused_chain(dataset, self._obs)
+        chain = planner.fused_chain(dataset, self.options.obs)
         if chain is None:
             return None
         names = set(chain.handles)
@@ -239,7 +141,7 @@ class MappingExecutor:
                 return ref.name if ref.name in names else None
             return None
 
-        predicate = self._planner.block_predicate(
+        predicate = planner.block_predicate(
             mapping.where, resolve, tier="fused"
         )
         if predicate is None:
@@ -252,7 +154,7 @@ class MappingExecutor:
                     # pass-through: rename the handle, never gather
                     lowered.append((col, None, key))
                     continue
-            fn = self._planner.block_scalar(expr, resolve, tier="fused")
+            fn = planner.block_scalar(expr, resolve, tier="fused")
             if fn is None:
                 return None
             lowered.append((col, expr, fn))
@@ -260,7 +162,7 @@ class MappingExecutor:
         mask = predicate(chain.view(reads))
         kept = [i for i, flag in enumerate(mask) if flag]
         child = chain.narrow(kept)
-        fuse.fused_op(chain, self._obs, len(kept))
+        fuse.fused_op(chain, self.options.obs, len(kept))
         handles: Dict[str, fuse.Handle] = {
             attr.name: [None] * child.length for attr in mapping.target
         }
@@ -271,11 +173,11 @@ class MappingExecutor:
                 handles[col] = fn(
                     child.view(fuse.read_set([expr], resolve))
                 )
-        fuse.fused_op(chain, self._obs, 0)
+        fuse.fused_op(chain, self.options.obs, 0)
         return Dataset.adopt_fused(mapping.target, child.derive(handles))
 
     def _execute_block(
-        self, mapping: Mapping, instance: Instance
+        self, mapping: Mapping, instance: Instance, planner: ExpressionPlanner
     ) -> Optional[Dataset]:
         """Columnar evaluation of the common single-source, non-grouping
         mapping shape (filter then project over one bound relation), or
@@ -301,24 +203,24 @@ class MappingExecutor:
                 return ref.name if ref.name in names else None
             return None
 
-        predicate = self._planner.block_predicate(mapping.where, resolve)
+        predicate = planner.block_predicate(mapping.where, resolve)
         if predicate is None:
             return None
         derivations = [
-            (col, self._planner.block_scalar(expr, resolve))
+            (col, planner.block_scalar(expr, resolve))
             for col, expr in mapping.derivations
         ]
         if any(fn is None for _col, fn in derivations):
             return None
         filtered = block.filter_block(
-            blk, predicate, self._planner.batch_size, obs=self._obs
+            blk, predicate, planner.batch_size, obs=self.options.obs
         )
         projected = block.project_block(
             filtered,
             derivations,
             defaults={attr.name: None for attr in mapping.target},
-            batch_size=self._planner.batch_size,
-            obs=self._obs,
+            batch_size=planner.batch_size,
+            obs=self.options.obs,
         )
         return Dataset.adopt_block(mapping.target, projected)
 
@@ -333,6 +235,7 @@ class MappingExecutor:
         self,
         mapping: Mapping,
         instance: Instance,
+        planner: ExpressionPlanner,
         errors: Optional[ErrorContext] = None,
     ) -> List[Environment]:
         """Environments for every combination of source rows satisfying
@@ -351,8 +254,8 @@ class MappingExecutor:
         handling = errors is not None and errors.handling
         return kernels.filter_rows(
             candidates,
-            self._planner.predicate(mapping.where),
-            obs=self._obs,
+            planner.predicate(mapping.where),
+            obs=self.options.obs,
             on_error=(
                 errors.kernel_handler(row_of=self._source_row_of(mapping))
                 if handling
@@ -361,16 +264,19 @@ class MappingExecutor:
         )
 
     def _grouped_result(
-        self, mapping: Mapping, joined: List[Environment]
+        self,
+        mapping: Mapping,
+        joined: List[Environment],
+        planner: ExpressionPlanner,
     ) -> Dataset:
         groups = kernels.group_rows(
             joined,
-            [self._planner.scalar(e) for e in mapping.group_by],
-            obs=self._obs,
+            [planner.scalar(e) for e in mapping.group_by],
+            obs=self.options.obs,
         )
         result = Dataset(mapping.target, validate=False)
         scalar_fns = {
-            col: self._planner.scalar(expr)
+            col: planner.scalar(expr)
             for col, expr in mapping.derivations
             if not expr.contains_aggregate()
         }
@@ -379,24 +285,31 @@ class MappingExecutor:
             row: Row = {a.name: None for a in mapping.target}
             for col, expr in mapping.derivations:
                 if expr.contains_aggregate():
-                    row[col] = self._evaluate_aggregated(expr, members)
+                    row[col] = self._evaluate_aggregated(
+                        expr, members, planner
+                    )
                 else:
                     row[col] = scalar_fns[col](representative)
             result.append(row, validate=False)
         return result
 
     def _evaluate_aggregated(
-        self, expr: Expr, members: List[Environment]
+        self,
+        expr: Expr,
+        members: List[Environment],
+        planner: ExpressionPlanner,
     ) -> object:
         """Evaluate an expression containing aggregate calls over a group
         (each aggregate is computed over the group, then the surrounding
         scalar expression is evaluated)."""
         if isinstance(expr, AggregateCall):
-            return self._aggregate_over_envs(expr, members)
+            return self._aggregate_over_envs(expr, members, planner)
 
         def fold(node: Expr):
             if isinstance(node, AggregateCall):
-                return Literal(self._aggregate_over_envs(node, members))
+                return Literal(
+                    self._aggregate_over_envs(node, members, planner)
+                )
             return None
 
         # the folded expression embeds this group's aggregate values as
@@ -406,16 +319,19 @@ class MappingExecutor:
         return evaluate(folded, members[0], self.registry)
 
     def _aggregate_over_envs(
-        self, agg: AggregateCall, members: List[Environment]
+        self,
+        agg: AggregateCall,
+        members: List[Environment],
+        planner: ExpressionPlanner,
     ):
         """Aggregate over a group of multi-source environments by
         evaluating the argument per member first."""
         if agg.arg is None:
             return len(members)
-        arg = self._planner.scalar(agg.arg)
+        arg = planner.scalar(agg.arg)
         values = [{"__v": arg(env)} for env in members]
         rewritten = AggregateCall(agg.func, ColumnRef("__v"), agg.distinct)
-        return self._planner.aggregate(rewritten)(values)
+        return planner.aggregate(rewritten)(values)
 
     def _execute_opaque(self, mapping: Mapping, instance: Instance) -> Dataset:
         if mapping.executor is None:
@@ -452,80 +368,40 @@ class MappingExecutor:
         targets, intermediates, rejected = self._run_impl(mappings, instance)
         return targets, intermediates, rejects_dataset(rejected)
 
-    def _compute_mapping(self, mapping, working, tiers, ctx, metrics):
-        """One mapping through the degradation ladder — pure compute
-        (``working`` is only read)."""
-        last_exc = None
-        for i, executor in enumerate(tiers):
-            if i:
-                metrics.count(degrade_counter(tiers[i - 1]._planner))
-            ctx.reset()
-            try:
-                return executor.execute_mapping(mapping, working, errors=ctx)
-            except RunCancelled:
-                raise  # cancellation is not a tier failure
-            except STATIC_ERRORS:
-                # a plan defect fails identically at every tier: degrading
-                # would only bury the diagnosis under tier noise
-                raise
-            except Exception as exc:  # noqa: BLE001 — ladder decides
-                last_exc = exc
-        raise last_exc
-
-    def _finish_mapping(
-        self, mapping, result, ctx, produced, working, rejected
-    ) -> None:
-        """One mapping's bookkeeping, in dependency order: publish
-        row-error outcomes, union (bag) into a shared target, make the
-        result visible to later mappings."""
-        rejected.extend(ctx.rejected)
-        ctx.publish(self._obs.metrics)
-        if mapping.target.name in produced:
-            existing = produced[mapping.target.name]
-            merged = Dataset(existing.relation, validate=False)
-            merged.extend(existing.rows, validate=False)
-            merged.extend(result.rows, validate=False)
-            produced[mapping.target.name] = merged
-            working.put(merged)
-        else:
-            produced[mapping.target.name] = result
-            working.put(result)
-
     def _run_impl(self, mappings: MappingSet, instance: Instance):
-        metrics = self._obs.metrics
-        if self.check:
-            from repro.analysis import check_plan
-
-            check_plan(mappings, registry=self.registry)
-        if self.supervisor is not None:
-            self.supervisor.start(self._obs)
-        if self.mode == "auto":
-            n_rows = max((len(d) for d in instance), default=0)
-            tier = self._planner.tune_for(
-                n_rows, memory_budget=self.memory_budget
-            )
-            self.batched = self._planner.batched
-            self.fused = self._planner.fused
-            metrics.count(f"exec.auto.tier.{tier}")
-        tiers = self._tiers()
+        options = self.options
         rejected = []
         working = Instance()
         for dataset in instance:
             working.put(dataset)
         produced: Dict[str, Dataset] = {}
-        with governed(self.memory_budget):
-            for mapping in mappings.in_dependency_order():
-                if self.supervisor is not None:
-                    self.supervisor.check(mapping.name)
-                ctx = ErrorContext(mapping.name, self.on_error)
-                result = self._compute_mapping(
-                    mapping, working, tiers, ctx, metrics
-                )
-                self._finish_mapping(
-                    mapping, result, ctx, produced, working, rejected
-                )
-                if self.supervisor is not None:
-                    self.supervisor.committed(mapping.name)
+
+        def step(mapping, run):
+            ctx = ErrorContext(mapping.name, options.on_error)
+            result = run.attempt(
+                lambda planner: self.execute_mapping(
+                    mapping, working, planner=planner, errors=ctx
+                ),
+                ctx,
+            )
+            rejected.extend(ctx.rejected)
+            ctx.publish(options.obs.metrics)
+            name = mapping.target.name
+            if name in produced:
+                # mappings sharing a target union (bag) their results
+                merged = Dataset(produced[name].relation, validate=False)
+                merged.extend(produced[name].rows, validate=False)
+                merged.extend(result.rows, validate=False)
+                result = merged
+            produced[name] = result
+            working.put(result)
+            return {name: len(result)}
+
+        drive(
+            options, mappings, self.registry, instance,
+            lambda: [(m.name, m) for m in mappings.in_dependency_order()],
+            step,
+        )
         final_names = set(mappings.final_target_names())
         targets = Instance()
         intermediates: Dict[str, Dataset] = {}
@@ -535,12 +411,6 @@ class MappingExecutor:
                 targets.put(dataset.with_relation(dataset.relation))
             else:
                 intermediates[name] = dataset
-        if self.catalog is not None:
-            # close the feedback loop: produced relations become
-            # observed actuals for the next estimate
-            self.catalog.observe_instance(instance)
-            for name, dataset in produced.items():
-                self.catalog.observe_link(name, len(dataset))
         return targets, intermediates, rejected
 
 
@@ -548,25 +418,11 @@ def execute_mappings(
     mappings: MappingSet,
     instance: Instance,
     registry: Optional[FunctionRegistry] = None,
-    obs: Optional[Observability] = None,
-    compiled: Optional[bool] = None,
-    batched: Optional[bool] = None,
-    batch_size: Optional[int] = None,
-    on_error: Optional[str] = None,
-    fused: Optional[bool] = None,
-    check: Optional[bool] = None,
+    **options,
 ) -> Instance:
-    """Convenience wrapper over :class:`MappingExecutor`."""
-    return MappingExecutor(
-        registry,
-        obs=obs,
-        compiled=compiled,
-        batched=batched,
-        batch_size=batch_size,
-        on_error=on_error,
-        fused=fused,
-        check=check,
-    ).execute(mappings, instance)
+    """Convenience wrapper over :class:`MappingExecutor`; ``options``
+    are its keyword options."""
+    return MappingExecutor(registry, **options).execute(mappings, instance)
 
 
 __all__ = ["MappingExecutor", "execute_mappings"]

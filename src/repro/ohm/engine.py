@@ -48,7 +48,8 @@ row-level expression errors in FILTER, PROJECT, and TARGET delivery;
 rows as a reject :class:`~repro.data.dataset.Dataset`. A failing tier
 (a fused chain, then a batched kernel, then the compiled row kernels)
 degrades per operator down to the interpreting oracle, counted in
-``exec.degrade.*``.
+``exec.degrade.*`` — the shared ladder of :mod:`repro.exec.driver`,
+which runs the whole lifecycle around this module's per-operator step.
 """
 
 from __future__ import annotations
@@ -57,18 +58,12 @@ from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.data.dataset import Dataset, Instance, Row
-from repro.errors import STATIC_ERRORS, ExecutionError, RunCancelled
-from repro.exec import (
-    ExpressionPlanner,
-    block,
-    degrade_counter,
-    fuse,
-    kernels,
-)
+from repro.errors import ExecutionError
+from repro.exec import ExpressionPlanner, block, fuse, kernels
 from repro.exec.block import relation_resolver
+from repro.exec.driver import RunOptions, drive
 from repro.expr.ast import ColumnRef
 from repro.expr.functions import DEFAULT_REGISTRY, FunctionRegistry
-from repro.obs import NULL_OBS, Observability
 from repro.ohm.graph import OhmGraph
 from repro.ohm.operators import (
     Filter,
@@ -84,18 +79,8 @@ from repro.ohm.operators import (
     Unknown,
     Unnest,
 )
-from repro.resilience import (
-    ErrorContext,
-    RejectedRow,
-    rejects_dataset,
-    resolve_on_error,
-)
+from repro.resilience import ErrorContext, RejectedRow, rejects_dataset
 from repro.schema.model import Relation
-from repro.supervision import (
-    governed,
-    resolve_memory_budget,
-    resolve_supervisor,
-)
 
 
 class OhmExecutor:
@@ -105,57 +90,12 @@ class OhmExecutor:
     threaded through the call chain — so one executor can run several
     graphs concurrently (or recursively) without interference."""
 
-    def __init__(
-        self,
-        registry: Optional[FunctionRegistry] = None,
-        obs: Optional[Observability] = None,
-        compiled: Optional[bool] = None,
-        batched: Optional[bool] = None,
-        batch_size: Optional[int] = None,
-        on_error: Optional[str] = None,
-        degrade: bool = True,
-        mode: Optional[str] = None,
-        catalog=None,
-        fused: Optional[bool] = None,
-        deadline: Optional[float] = None,
-        memory_budget=None,
-        supervisor=None,
-        check: Optional[bool] = None,
-    ):
+    def __init__(self, registry: Optional[FunctionRegistry] = None, **options):
         self.registry = registry or DEFAULT_REGISTRY
-        self._obs = obs or NULL_OBS
-        # local import: repro.analysis imports the operator catalogue,
-        # so a module-level import here would be circular
-        from repro.analysis import resolve_check
-
-        #: whether :func:`repro.analysis.check_plan` vets the graph
-        #: before any row is processed (``REPRO_CHECK`` ladder).
-        self.check = resolve_check(check)
-        self._planner = ExpressionPlanner(
-            self.registry, compiled, batched, batch_size, mode=mode,
-            fused=fused,
-        )
-        self.compiled = self._planner.compiled
-        self.batched = self._planner.batched
-        #: selection-vector pipeline fusion (requires ``batched``).
-        self.fused = self._planner.fused
-        #: execution-tier mode: "rows"/"block" pin the tier, "auto"
-        #: picks per run from the input size via the cost model, None
-        #: keeps the per-flag resolution.
-        self.mode = self._planner.mode
-        #: run-level row error policy; an operator may override via an
-        #: ``on_error`` attribute of its own.
-        self.on_error = resolve_on_error(on_error)
-        self.degrade = degrade
-        #: per-run deadline supervision, or None (no per-boundary work).
-        self.supervisor = resolve_supervisor(
-            supervisor, deadline, obs=self._obs
-        )
-        #: resident-row budget blocking kernels obey during runs, or None.
-        self.memory_budget = resolve_memory_budget(memory_budget)
-        #: statistics catalog fed back with per-edge actuals after every
-        #: run (None disables the feedback loop).
-        self.catalog = catalog
+        #: the resolved run options (see
+        #: :class:`~repro.exec.driver.RunOptions`); an operator may
+        #: override ``on_error`` via an attribute of its own.
+        self.options = RunOptions(False, **options)
 
     def run(
         self, graph: OhmGraph, instance: Instance
@@ -183,54 +123,6 @@ class OhmExecutor:
         targets, _edges = self.run(graph, instance)
         return targets
 
-    # -- fault tolerance ------------------------------------------------------
-
-    def _ladder(self) -> List[ExpressionPlanner]:
-        """Degradation tiers, most capable first (see the ETL engine)."""
-        tiers = [self._planner]
-        if not self.degrade:
-            return tiers
-        if self._planner.fused:
-            tiers.append(
-                ExpressionPlanner(
-                    self.registry, True, True, self._planner.batch_size,
-                    fused=False,
-                )
-            )
-        if self._planner.batched:
-            tiers.append(
-                ExpressionPlanner(
-                    self.registry, True, False, self._planner.batch_size
-                )
-            )
-        if self.compiled:
-            tiers.append(
-                ExpressionPlanner(
-                    self.registry, False, False, self._planner.batch_size
-                )
-            )
-        return tiers
-
-    def _attempt(self, fn, tiers, ctx, metrics):
-        """Run ``fn(planner)`` down the degradation ladder; the context
-        is reset per attempt and the last tier's error propagates."""
-        last_exc = None
-        for i, planner in enumerate(tiers):
-            if i:
-                metrics.count(degrade_counter(tiers[i - 1]))
-            ctx.reset()
-            try:
-                return fn(planner)
-            except RunCancelled:
-                raise  # cancellation is not a tier failure — never degrade
-            except STATIC_ERRORS:
-                # a plan defect fails identically at every tier: degrading
-                # would only bury the diagnosis under tier noise
-                raise
-            except Exception as exc:  # noqa: BLE001 — ladder decides
-                last_exc = exc
-        raise last_exc
-
     # -- per-operator semantics ----------------------------------------------
 
     def _run_operator(
@@ -242,7 +134,7 @@ class OhmExecutor:
         planner: Optional[ExpressionPlanner] = None,
         errors: Optional[ErrorContext] = None,
     ) -> List[Dataset]:
-        planner = planner or self._planner
+        planner = planner or self.options.planner(self.registry)
         if isinstance(op, Source):
             return [
                 self._run_source(op, out, instance) for out in out_relations
@@ -265,7 +157,7 @@ class OhmExecutor:
             return [self._run_group(op, inputs[0], out_relations[0], planner)]
         if isinstance(op, Split):
             if planner.batched:
-                chain = planner.fused_chain(inputs[0], self._obs)
+                chain = planner.fused_chain(inputs[0], self.options.obs)
                 if chain is not None:
                     # handle renames only — every output keeps chaining
                     # on the shared selection, nothing is gathered
@@ -278,7 +170,7 @@ class OhmExecutor:
                         )
                         for out in out_relations
                     ]
-                    fuse.fused_op(chain, self._obs, 0)
+                    fuse.fused_op(chain, self.options.obs, 0)
                     return results
                 # every output shares the (immutable) input columns
                 shared = inputs[0].as_block()
@@ -298,6 +190,8 @@ class OhmExecutor:
             return [self._run_unnest(op, inputs[0], out_relations[0], planner)]
         if isinstance(op, Unknown):
             return self._run_unknown(op, inputs, out_relations)
+        if isinstance(op, Target):
+            return [self._run_target(op, inputs[0], planner, errors)]
         raise ExecutionError(
             f"no execution semantics for {op.KIND} {op.uid}", stage=op.uid
         )
@@ -325,7 +219,7 @@ class OhmExecutor:
         errors: Optional[ErrorContext] = None,
     ) -> Dataset:
         if planner.batched:
-            chain = planner.fused_chain(data, self._obs)
+            chain = planner.fused_chain(data, self.options.obs)
             if chain is not None:
                 resolve = relation_resolver(
                     data.relation.name, chain.handles
@@ -339,7 +233,7 @@ class OhmExecutor:
                     reads = fuse.read_set([op.condition], resolve)
                     mask = predicate(chain.view(reads))
                     kept = [i for i, flag in enumerate(mask) if flag]
-                    fuse.fused_op(chain, self._obs, len(kept))
+                    fuse.fused_op(chain, self.options.obs, len(kept))
                     return planner.materialize_fused(
                         out, chain.narrow(kept)
                     )
@@ -348,7 +242,7 @@ class OhmExecutor:
             predicate = planner.block_predicate(op.condition, resolve)
             if predicate is not None:
                 kept = block.filter_block(
-                    blk, predicate, planner.batch_size, obs=self._obs
+                    blk, predicate, planner.batch_size, obs=self.options.obs
                 )
                 return planner.materialize_block(out, kept)
         on_error = errors.kernel_handler() if errors is not None else None
@@ -356,7 +250,7 @@ class OhmExecutor:
             data.rows,
             planner.predicate(op.condition),
             kernels.row_binder(data.relation.name),
-            obs=self._obs,
+            obs=self.options.obs,
             on_error=on_error,
         )
         return planner.materialize(
@@ -372,7 +266,7 @@ class OhmExecutor:
         errors: Optional[ErrorContext] = None,
     ) -> Dataset:
         if planner.batched:
-            chain = planner.fused_chain(data, self._obs)
+            chain = planner.fused_chain(data, self.options.obs)
             if chain is not None:
                 produced = self._project_fused(op, data, chain, planner)
                 if produced is not None:
@@ -388,7 +282,7 @@ class OhmExecutor:
                     blk,
                     lowered,
                     batch_size=planner.batch_size,
-                    obs=self._obs,
+                    obs=self.options.obs,
                 )
                 return planner.materialize_block(out, produced)
         on_error = errors.kernel_handler() if errors is not None else None
@@ -396,7 +290,7 @@ class OhmExecutor:
             data.rows,
             [(name, planner.scalar(expr)) for name, expr in op.derivations],
             kernels.row_binder(data.relation.name),
-            obs=self._obs,
+            obs=self.options.obs,
             on_error=on_error,
         )
         return planner.materialize(out, rows, fresh=True)
@@ -433,7 +327,7 @@ class OhmExecutor:
                 handles[name] = fn(
                     chain.view(fuse.read_set([expr], resolve))
                 )
-        fuse.fused_op(chain, self._obs, chain.length)
+        fuse.fused_op(chain, self.options.obs, chain.length)
         return chain.derive(handles)
 
     def _run_join(
@@ -455,7 +349,7 @@ class OhmExecutor:
                 op.kind,
                 [(attr.name, side, source) for attr, side, source in attrs],
                 planner,
-                obs=self._obs,
+                obs=self.options.obs,
             )
             if joined is not None:
                 return planner.materialize_block(out, joined)
@@ -480,7 +374,7 @@ class OhmExecutor:
             merge,
             rows.append,
             planner,
-            obs=self._obs,
+            obs=self.options.obs,
         )
         return planner.materialize(out, rows, fresh=True)
 
@@ -496,14 +390,14 @@ class OhmExecutor:
                 [dataset.as_block() for dataset in inputs],
                 out.attribute_names,
                 distinct=op.distinct,
-                obs=self._obs,
+                obs=self.options.obs,
             )
             return planner.materialize_block(out, unioned)
         rows = kernels.union_rows(
             [dataset.rows for dataset in inputs],
             out.attribute_names,
             distinct=op.distinct,
-            obs=self._obs,
+            obs=self.options.obs,
         )
         return planner.materialize(out, rows, fresh=True)
 
@@ -522,7 +416,7 @@ class OhmExecutor:
             data.rows,
             op.keys,
             [(name, planner.aggregate(agg)) for name, agg in op.aggregates],
-            obs=self._obs,
+            obs=self.options.obs,
         )
         return planner.materialize(out, rows, fresh=True)
 
@@ -531,7 +425,7 @@ class OhmExecutor:
         aggregate argument needs the row path. Aggregate members are
         bound anonymously on the row path, so the resolver here carries
         no relation qualifier."""
-        chain = planner.fused_chain(data, self._obs)
+        chain = planner.fused_chain(data, self.options.obs)
         if chain is not None:
             produced = self._group_fused(op, chain, planner)
             if produced is not None:
@@ -545,7 +439,7 @@ class OhmExecutor:
                 return None
             lowered.append((name, plan[0], plan[1]))
         return block.group_aggregate_block(
-            blk, op.keys, lowered, obs=self._obs
+            blk, op.keys, lowered, obs=self.options.obs
         )
 
     def _group_fused(self, op: Group, chain, planner: ExpressionPlanner):
@@ -565,16 +459,16 @@ class OhmExecutor:
         reads = fuse.read_set(args, resolve)
         names = list(dict.fromkeys(list(op.keys) + (reads or [])))
         view = chain.view(names if reads is not None else None)
-        fuse.fused_op(chain, self._obs, chain.length)
+        fuse.fused_op(chain, self.options.obs, chain.length)
         return block.group_aggregate_block(
-            view, op.keys, lowered, obs=self._obs
+            view, op.keys, lowered, obs=self.options.obs
         )
 
     def _run_nest(
         self, op: Nest, data: Dataset, out: Relation, planner: ExpressionPlanner
     ) -> Dataset:
         rows = kernels.nest_rows(
-            data.rows, op.keys, op.nested, op.into, obs=self._obs
+            data.rows, op.keys, op.nested, op.into, obs=self.options.obs
         )
         return planner.materialize(out, rows, fresh=True)
 
@@ -583,7 +477,7 @@ class OhmExecutor:
     ) -> Dataset:
         scalar_names = [a.name for a in data.relation if a.name != op.attr]
         rows = kernels.unnest_rows(
-            data.rows, op.attr, scalar_names, obs=self._obs
+            data.rows, op.attr, scalar_names, obs=self.options.obs
         )
         return planner.materialize(out, rows, fresh=True)
 
@@ -653,7 +547,7 @@ class OhmExecutor:
                 return Dataset.adopt_block(
                     op.relation, block.RowBlock(columns, blk.length)
                 )
-        if self.compiled:
+        if planner.compiled:
             # trusted delivery: upstream kernels already shaped the rows
             return Dataset.adopt(
                 op.relation, [{n: row.get(n) for n in names} for row in data]
@@ -663,117 +557,68 @@ class OhmExecutor:
             result.append({n: row.get(n) for n in names})
         return result
 
-    def _compute_op(self, op, inputs, out_edges, instance, tiers, ctx, metrics):
-        """One operator's pure compute through the degradation ladder
-        (no spans, no shared-state writes)."""
-        if isinstance(op, Target):
-            delivered = self._attempt(
-                lambda p: self._run_target(op, inputs[0], p, errors=ctx),
-                tiers,
-                ctx,
-                metrics,
-            )
-            return [delivered]
-        out_relations = [e.schema for e in out_edges]
-        outputs = self._attempt(
-            lambda p: self._run_operator(
-                op, inputs, out_relations, instance, planner=p, errors=ctx
-            ),
-            tiers,
-            ctx,
-            metrics,
-        )
-        if len(outputs) != len(out_edges):
-            raise ExecutionError(
-                f"{op.KIND} {op.uid} produced {len(outputs)} "
-                f"outputs for {len(out_edges)} edges",
-                stage=op.uid,
-            )
-        return outputs
-
-    def _finish_op(
-        self, op, inputs, outputs, out_edges, ctx, span, seconds,
-        targets, by_edge, edge_data, rejected,
-    ) -> None:
-        """One operator's bookkeeping: deliver targets, publish rejects
-        and metrics, wire outputs onto the out-edges."""
-        metrics = self._obs.metrics
-        if isinstance(op, Target):
-            targets.put(outputs[0])
-        rejected.extend(ctx.rejected)
-        ctx.publish(metrics, span)
-        if self._obs.enabled:
-            rows_in = sum(len(d) for d in inputs)
-            rows_out = sum(len(d) for d in outputs)
-            span.set(rows_in=rows_in, rows_out=rows_out)
-            prefix = f"ohm.operator.{op.uid}"
-            metrics.count(f"{prefix}.rows_in", rows_in)
-            metrics.count(f"{prefix}.rows_out", rows_out)
-            metrics.observe(f"{prefix}.seconds", seconds)
-        if not isinstance(op, Target):
-            for edge, dataset in zip(out_edges, outputs):
-                by_edge[(edge.src, edge.src_port)] = dataset
-                edge_data[edge.name] = dataset
-
     def _run_impl(
         self, graph: OhmGraph, instance: Instance
     ) -> Tuple[Instance, Dict[str, Dataset], List[RejectedRow]]:
-        tracer = self._obs.tracer
-        metrics = self._obs.metrics
-        observing = self._obs.enabled
-        if self.check:
-            from repro.analysis import check_plan
-
-            check_plan(graph, registry=self.registry)
-        supervisor = self.supervisor
-        if supervisor is not None:
-            supervisor.start(self._obs)
-        if self.mode == "auto":
-            n_rows = max((len(d) for d in instance), default=0)
-            tier = self._planner.tune_for(
-                n_rows, memory_budget=self.memory_budget
-            )
-            self.batched = self._planner.batched
-            self.fused = self._planner.fused
-            metrics.count(f"exec.auto.tier.{tier}")
-        tiers = self._ladder()
-        graph.propagate_schemas()
+        options = self.options
+        obs = options.obs
+        metrics = obs.metrics
         edge_data: Dict[str, Dataset] = {}
         by_edge: Dict[Tuple[str, int], Dataset] = {}
         targets = Instance()
         rejected: List[RejectedRow] = []
-        with governed(self.memory_budget), tracer.span(
-            "ohm.run", graph=graph.name
-        ):
-            for op in graph.topological_order():
-                if supervisor is not None:
-                    supervisor.check(op.uid)
-                inputs = [
-                    by_edge[(e.src, e.src_port)]
-                    for e in graph.in_edges(op.uid)
-                ]
-                out_edges = graph.out_edges(op.uid)
-                ctx = ErrorContext(
-                    op.uid, getattr(op, "on_error", None) or self.on_error
+
+        def operators():
+            graph.propagate_schemas()
+            return [(op.uid, op) for op in graph.topological_order()]
+
+        def step(op, run):
+            inputs = [
+                by_edge[(e.src, e.src_port)] for e in graph.in_edges(op.uid)
+            ]
+            out_edges = graph.out_edges(op.uid)
+            out_relations = [e.schema for e in out_edges]
+            ctx = ErrorContext(
+                op.uid, getattr(op, "on_error", None) or options.on_error
+            )
+            with obs.tracer.span(f"ohm.op.{op.KIND}", uid=op.uid) as span:
+                started = perf_counter() if obs.enabled else 0.0
+                outputs = run.attempt(
+                    lambda planner: self._run_operator(
+                        op, inputs, out_relations, instance,
+                        planner=planner, errors=ctx,
+                    ),
+                    ctx,
                 )
-                with tracer.span(f"ohm.op.{op.KIND}", uid=op.uid) as span:
-                    started = perf_counter() if observing else 0.0
-                    outputs = self._compute_op(
-                        op, inputs, out_edges, instance, tiers, ctx, metrics
+                seconds = perf_counter() - started if obs.enabled else 0.0
+                if isinstance(op, Target):
+                    targets.put(outputs[0])
+                elif len(outputs) != len(out_edges):
+                    raise ExecutionError(
+                        f"{op.KIND} {op.uid} produced {len(outputs)} "
+                        f"outputs for {len(out_edges)} edges",
+                        stage=op.uid,
                     )
-                    seconds = perf_counter() - started if observing else 0.0
-                    self._finish_op(
-                        op, inputs, outputs, out_edges, ctx, span, seconds,
-                        targets, by_edge, edge_data, rejected,
-                    )
-                if supervisor is not None:
-                    supervisor.committed(op.uid)
-        if self.catalog is not None:
-            # close the feedback loop: the next estimate_graph over the
-            # same edge names re-plans from these actuals
-            self.catalog.observe_instance(instance)
-            for name, dataset in edge_data.items():
-                self.catalog.observe_link(name, len(dataset))
+                rejected.extend(ctx.rejected)
+                ctx.publish(metrics, span)
+                if obs.enabled:
+                    rows_in = sum(len(d) for d in inputs)
+                    rows_out = sum(len(d) for d in outputs)
+                    span.set(rows_in=rows_in, rows_out=rows_out)
+                    prefix = f"ohm.operator.{op.uid}"
+                    metrics.count(f"{prefix}.rows_in", rows_in)
+                    metrics.count(f"{prefix}.rows_out", rows_out)
+                    metrics.observe(f"{prefix}.seconds", seconds)
+            # a TARGET has no out-edges: nothing to wire
+            for edge, dataset in zip(out_edges, outputs):
+                by_edge[(edge.src, edge.src_port)] = dataset
+                edge_data[edge.name] = dataset
+            return {e.name: len(d) for e, d in zip(out_edges, outputs)}
+
+        drive(
+            options, graph, self.registry, instance, operators, step,
+            span=("ohm.run", {"graph": graph.name}),
+        )
         return targets, edge_data, rejected
 
 
@@ -781,62 +626,22 @@ def execute(
     graph: OhmGraph,
     instance: Instance,
     registry: Optional[FunctionRegistry] = None,
-    obs: Optional[Observability] = None,
-    compiled: Optional[bool] = None,
-    batched: Optional[bool] = None,
-    batch_size: Optional[int] = None,
-    on_error: Optional[str] = None,
-    fused: Optional[bool] = None,
-    deadline: Optional[float] = None,
-    memory_budget=None,
-    supervisor=None,
-    check: Optional[bool] = None,
+    **options,
 ) -> Instance:
-    """Execute ``graph`` over ``instance``; returns the target datasets."""
-    return OhmExecutor(
-        registry,
-        obs=obs,
-        compiled=compiled,
-        batched=batched,
-        batch_size=batch_size,
-        on_error=on_error,
-        fused=fused,
-        deadline=deadline,
-        memory_budget=memory_budget,
-        supervisor=supervisor,
-        check=check,
-    ).execute(graph, instance)
+    """Execute ``graph`` over ``instance``; returns the target datasets.
+    ``options`` are :class:`OhmExecutor`'s."""
+    return OhmExecutor(registry, **options).execute(graph, instance)
 
 
 def execute_with_edges(
     graph: OhmGraph,
     instance: Instance,
     registry: Optional[FunctionRegistry] = None,
-    obs: Optional[Observability] = None,
-    compiled: Optional[bool] = None,
-    batched: Optional[bool] = None,
-    batch_size: Optional[int] = None,
-    on_error: Optional[str] = None,
-    fused: Optional[bool] = None,
-    deadline: Optional[float] = None,
-    memory_budget=None,
-    supervisor=None,
-    check: Optional[bool] = None,
+    **options,
 ) -> Tuple[Instance, Dict[str, Dataset]]:
-    """Execute and also return every intermediate edge's data by name."""
-    return OhmExecutor(
-        registry,
-        obs=obs,
-        compiled=compiled,
-        batched=batched,
-        batch_size=batch_size,
-        on_error=on_error,
-        fused=fused,
-        deadline=deadline,
-        memory_budget=memory_budget,
-        supervisor=supervisor,
-        check=check,
-    ).run(graph, instance)
+    """Execute and also return every intermediate edge's data by name.
+    ``options`` are :class:`OhmExecutor`'s."""
+    return OhmExecutor(registry, **options).run(graph, instance)
 
 
 __all__ = ["OhmExecutor", "execute", "execute_with_edges"]

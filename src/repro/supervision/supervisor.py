@@ -9,10 +9,10 @@ was called from another thread) the next check raises a structured
 stages/operators whose outputs were already committed — with a
 checkpoint store configured, exactly the resume point.
 
-Cancellation is *cooperative*: nothing is killed mid-kernel. A task a
-caller runs off the engine thread can be wrapped with
-:meth:`RunSupervisor.guard` so it short-circuits once the run is
-cancelled, while a task already in flight runs to completion.
+Cancellation is *cooperative*: nothing is killed mid-kernel. Another
+thread may call :meth:`RunSupervisor.cancel` at any time; the node in
+flight runs to completion and the run stops at the next boundary
+check.
 
 The deadline resolves through the standard config triad:
 ``deadline=`` kwarg > :func:`set_default_deadline` >
@@ -71,11 +71,10 @@ class Budget:
 class RunSupervisor:
     """Owns deadline enforcement and cancellation for one run.
 
-    Thread-safe by construction: :meth:`cancel` flips a
-    :class:`threading.Event` that both the engine thread (via
-    :meth:`check`) and worker threads (via :meth:`guard`) observe. The
-    clock is injectable so deadline behaviour is testable without
-    sleeping.
+    Thread-safe by construction: :meth:`cancel`, callable from any
+    thread, flips a :class:`threading.Event` that the engine thread
+    observes at its next :meth:`check`. The clock is injectable so
+    deadline behaviour is testable without sleeping.
     """
 
     def __init__(
@@ -173,24 +172,6 @@ class RunSupervisor:
             self._soft_warned = True
             self._count(obs, "exec.supervise.soft_timeout")
         self._count(obs, "exec.supervise.checks")
-
-    def guard(self, fn: Callable) -> Callable:
-        """Wrap a task so it short-circuits when the run is already
-        cancelled (or past deadline) at the moment it starts. Tasks in
-        flight are never interrupted — the engine re-raises at its own
-        boundary check."""
-        supervisor = self
-
-        def guarded(*args, **kwargs):
-            if supervisor._cancel_event.is_set():
-                raise supervisor._cancelled_error("worker")
-            deadline = supervisor.budget.deadline
-            if deadline is not None and supervisor.elapsed() > deadline:
-                supervisor.cancel(reason="deadline")
-                raise supervisor._cancelled_error("worker")
-            return fn(*args, **kwargs)
-
-        return guarded
 
     @staticmethod
     def _count(obs, name: str) -> None:

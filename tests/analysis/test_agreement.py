@@ -199,18 +199,18 @@ class TestKnobTriad:
 
     def test_default_off(self):
         assert default_check() is False
-        assert EtlEngine().check is False
+        assert EtlEngine().options.check is False
 
     def test_setter_wins(self):
         set_default_check(True)
         assert default_check() is True
-        assert EtlEngine().check is True
-        assert OhmExecutor().check is True
-        assert MappingExecutor().check is True
+        assert EtlEngine().options.check is True
+        assert OhmExecutor().options.check is True
+        assert MappingExecutor().options.check is True
 
     def test_explicit_kwarg_beats_setter(self):
         set_default_check(True)
-        assert EtlEngine(check=False).check is False
+        assert EtlEngine(check=False).options.check is False
         assert resolve_check(False) is False
 
     def test_env_variable(self, monkeypatch):
@@ -228,3 +228,53 @@ class TestKnobTriad:
         job.chain(s, f, t, names=["a", "b"])
         with pytest.raises(ValidationError, match="static analysis"):
             run_job(job, Instance())
+
+
+class TestWrappersForwardOptions:
+    """Regression: every convenience wrapper hands its keyword options
+    to its runtime's constructor, so none can drop ``check``."""
+
+    @staticmethod
+    def _wrappers():
+        from repro.etl import run_job_with_links
+        from repro.mapping import execute_mappings, ohm_to_mappings
+        from repro.ohm import execute, execute_with_edges
+
+        graph = lambda: compile_job(build_example_job())  # noqa: E731
+        return {
+            "run_job": lambda **o: run_job(build_example_job(), **o),
+            "run_job_with_links": lambda **o: run_job_with_links(
+                build_example_job(), **o
+            ),
+            "execute": lambda **o: execute(graph(), Instance(), **o),
+            "execute_with_edges": lambda **o: execute_with_edges(
+                graph(), Instance(), **o
+            ),
+            "execute_mappings": lambda **o: execute_mappings(
+                ohm_to_mappings(graph()), Instance(), **o
+            ),
+        }
+
+    @pytest.mark.parametrize(
+        "wrapper",
+        [
+            "run_job",
+            "run_job_with_links",
+            "execute",
+            "execute_with_edges",
+            "execute_mappings",
+        ],
+    )
+    def test_check_reaches_check_plan_once(self, wrapper, monkeypatch):
+        import repro.analysis
+
+        calls = []
+
+        def spy(plan, registry=None):
+            calls.append(plan)
+            raise ValidationError("checked")
+
+        monkeypatch.setattr(repro.analysis, "check_plan", spy)
+        with pytest.raises(ValidationError, match="checked"):
+            self._wrappers()[wrapper](check=True)
+        assert len(calls) == 1

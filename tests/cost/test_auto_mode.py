@@ -53,11 +53,11 @@ class TestTierSelection:
 class TestExplicitModes:
     def test_mode_rows_disables_batching(self):
         engine = EtlEngine(mode="rows", batched=True)
-        assert engine.batched is False
+        assert engine.options.batched is False
 
     def test_mode_block_enables_batching(self):
         engine = EtlEngine(mode="block")
-        assert engine.batched is True
+        assert engine.options.batched is True
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValidationError):

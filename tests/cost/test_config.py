@@ -113,18 +113,6 @@ class TestDerivedDefaults:
 
 
 class TestKnobMechanics:
-    def test_callable_default_stays_live(self):
-        calls = []
-
-        def derive():
-            calls.append(1)
-            return 42
-
-        knob = Knob("test_live", default=derive)
-        assert knob.default() == 42
-        assert knob.default() == 42
-        assert len(calls) == 2  # re-derived, not cached
-
     def test_validate_applies_to_setter_and_kwarg_not_default(self):
         def check(value):
             if value < 0:

@@ -142,7 +142,7 @@ class TestEngineResume:
         with pytest.raises(ExecutionError, match="disk full"):
             engine.run(job, instance)
         # the completed frontier survived the crash
-        frontier = engine.checkpoint.load_frontier(job)
+        frontier = engine.options.checkpoint.load_frontier(job)
         assert "src_Orders" in frontier and "ComputeUnit" in frontier
 
         monkeypatch.undo()
@@ -156,13 +156,13 @@ class TestEngineResume:
         assert "src_Orders" in resumed_engine.last_run.restored_stages
         assert obs.metrics.counter("exec.checkpoint.restored") >= 2
         # a successful run clears its snapshots
-        assert resumed_engine.checkpoint.load_frontier(job) == {}
+        assert resumed_engine.options.checkpoint.load_frontier(job) == {}
 
     def test_successful_run_leaves_no_snapshots(self, tmp_path):
         instance, _ = generate_faulty_instance(n=10, seed=2)
         engine = EtlEngine(checkpoint=str(tmp_path))
         engine.run(build_faulty_job(), instance)
-        assert engine.checkpoint.load_frontier(build_faulty_job()) == {}
+        assert engine.options.checkpoint.load_frontier(build_faulty_job()) == {}
         assert engine.last_run.restored_stages == []
 
     def test_saved_metric_counts_stages(self, tmp_path, monkeypatch):
@@ -181,7 +181,7 @@ class TestEngineResume:
         with pytest.raises(ExecutionError):
             engine.run(job, instance)
         assert obs.metrics.counter("exec.checkpoint.saved") >= 2
-        engine.checkpoint.clear(job)
+        engine.options.checkpoint.clear(job)
 
     def test_edited_job_ignores_stale_snapshots(self, tmp_path, monkeypatch):
         instance, _ = generate_faulty_instance(n=10, seed=2)

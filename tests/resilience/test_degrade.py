@@ -36,28 +36,49 @@ def baseline(instance):
     return _premium_rows(targets)
 
 
-class TestEtlDegrade:
-    def test_block_fault_degrades_to_row_kernels(self, instance, baseline):
+def _etl(instance, **options):
+    return EtlEngine(**options).run(build_faulty_job(), instance)[0]
+
+
+def _ohm(instance, **options):
+    graph = compile_job(build_faulty_job())
+    return OhmExecutor(**options).run(graph, instance)[0]
+
+
+def _mapping(instance, **options):
+    mappings = ohm_to_mappings(compile_job(build_faulty_job()))
+    return MappingExecutor(**options).run(mappings, instance)[0]
+
+
+@pytest.fixture(params=[_etl, _ohm, _mapping], ids=["etl", "ohm", "mapping"])
+def run(request):
+    """One runtime over the faulty job: every runtime walks the one
+    ladder of :mod:`repro.exec.driver`."""
+    return request.param
+
+
+class TestLadder:
+    def test_block_fault_degrades_to_row_kernels(
+        self, run, instance, baseline
+    ):
         plan = FaultPlan(seed=1).fault_kernels(tier="block", first=1)
         obs = Observability(stats=True)
-        engine = EtlEngine(obs=obs, compiled=True, batched=True)
         with plan.injected():
-            targets, _ = engine.run(build_faulty_job(), instance)
+            targets = run(instance, obs=obs, compiled=True, batched=True)
         assert _premium_rows(targets) == baseline
         assert obs.metrics.counter("exec.degrade.fused_to_block") >= 1
         assert plan.kernel_faults_fired.get("block", 0) >= 1
 
-    def test_compiled_fault_degrades_to_oracle(self, instance, baseline):
+    def test_compiled_fault_degrades_to_oracle(self, run, instance, baseline):
         plan = FaultPlan(seed=2).fault_kernels(tier="compiled", first=1)
         obs = Observability(stats=True)
-        engine = EtlEngine(obs=obs, compiled=True, batched=False)
         with plan.injected():
-            targets, _ = engine.run(build_faulty_job(), instance)
+            targets = run(instance, obs=obs, compiled=True, batched=False)
         assert _premium_rows(targets) == baseline
         assert obs.metrics.counter("exec.degrade.rows_to_oracle") >= 1
 
     def test_batched_engine_falls_all_the_way_to_oracle(
-        self, instance, baseline
+        self, run, instance, baseline
     ):
         plan = (
             FaultPlan(seed=3)
@@ -65,32 +86,25 @@ class TestEtlDegrade:
             .fault_kernels(tier="compiled", first=100)
         )
         obs = Observability(stats=True)
-        engine = EtlEngine(obs=obs, compiled=True, batched=True)
         with plan.injected():
-            targets, _ = engine.run(build_faulty_job(), instance)
+            targets = run(instance, obs=obs, compiled=True, batched=True)
         assert _premium_rows(targets) == baseline
         assert obs.metrics.counter("exec.degrade.block_to_rows") >= 1
         assert obs.metrics.counter("exec.degrade.rows_to_oracle") >= 1
 
-    def test_all_tiers_faulted_surfaces_the_error(self, instance):
+    def test_all_tiers_faulted_surfaces_the_error(self, run, instance):
         plan = (
             FaultPlan(seed=4)
             .fault_kernels(tier="block", first=100)
             .fault_kernels(tier="compiled", first=100)
             .fault_kernels(tier="oracle", first=100)
         )
-        engine = EtlEngine(compiled=True, batched=True)
         with plan.injected():
             with pytest.raises(FaultInjected):
-                engine.run(build_faulty_job(), instance)
+                run(instance, compiled=True, batched=True)
 
-    def test_degrade_disabled_surfaces_the_first_fault(self, instance):
-        plan = FaultPlan(seed=5).fault_kernels(tier="block", first=1)
-        engine = EtlEngine(compiled=True, batched=True, degrade=False)
-        with plan.injected():
-            with pytest.raises(FaultInjected):
-                engine.run(build_faulty_job(), instance)
 
+class TestEtlDegrade:
     def test_degraded_run_with_rejects_keeps_parity(self, instance):
         poisoned, _ = generate_faulty_instance(n=40, seed=13, poison=4)
         clean_engine = EtlEngine(on_error="reject")
@@ -130,33 +144,3 @@ class TestInfrastructureErrorsAreNotAbsorbed:
         rejects = engine.last_run.rejected
         assert sorted(format_row(r.row) for r in rejects) == clean_rejects
         assert all(r.error_code != "FaultInjected" for r in rejects)
-
-
-class TestOhmAndMappingDegrade:
-    def test_ohm_block_fault_degrades(self, instance, baseline):
-        graph = compile_job(build_faulty_job())
-        plan = FaultPlan(seed=7).fault_kernels(tier="block", first=1)
-        obs = Observability(stats=True)
-        executor = OhmExecutor(obs=obs, compiled=True, batched=True)
-        with plan.injected():
-            targets, _ = executor.run(graph, instance)
-        assert _premium_rows(targets) == baseline
-        assert obs.metrics.counter("exec.degrade.fused_to_block") >= 1
-
-    def test_ohm_degrade_disabled_surfaces_the_fault(self, instance):
-        graph = compile_job(build_faulty_job())
-        plan = FaultPlan(seed=8).fault_kernels(tier="block", first=1)
-        executor = OhmExecutor(compiled=True, batched=True, degrade=False)
-        with plan.injected():
-            with pytest.raises(FaultInjected):
-                executor.run(graph, instance)
-
-    def test_mapping_compiled_fault_degrades(self, instance, baseline):
-        mappings = ohm_to_mappings(compile_job(build_faulty_job()))
-        plan = FaultPlan(seed=9).fault_kernels(tier="compiled", first=1)
-        obs = Observability(stats=True)
-        executor = MappingExecutor(obs=obs, compiled=True, batched=False)
-        with plan.injected():
-            targets, _ = executor.run(mappings, instance)
-        assert _premium_rows(targets) == baseline
-        assert obs.metrics.counter("exec.degrade.rows_to_oracle") >= 1

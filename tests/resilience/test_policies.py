@@ -65,7 +65,7 @@ class TestPolicyTriad:
     def test_engine_picks_up_process_default(self):
         set_default_on_error("skip")
         try:
-            assert EtlEngine().on_error == SKIP
+            assert EtlEngine().options.on_error == SKIP
         finally:
             set_default_on_error(None)
 

@@ -101,25 +101,6 @@ class TestRunSupervisor:
         sup.check("b")
         assert obs.metrics.counter("exec.supervise.checks") == 2
 
-    def test_guard_short_circuits_queued_tasks(self):
-        sup = RunSupervisor().start()
-        calls = []
-        guarded = sup.guard(lambda: calls.append(1) or "ran")
-        assert guarded() == "ran"
-        sup.cancel()
-        with pytest.raises(RunCancelled):
-            guarded()
-        assert calls == [1]
-
-    def test_guard_enforces_the_deadline_at_dequeue(self):
-        clock = FakeClock()
-        sup = RunSupervisor(Budget(deadline=1.0), clock=clock).start()
-        guarded = sup.guard(lambda: "ran")
-        assert guarded() == "ran"
-        clock.advance(2.0)
-        with pytest.raises(RunCancelled):
-            guarded()
-
     def test_remaining_budget(self):
         clock = FakeClock()
         sup = RunSupervisor(Budget(deadline=5.0), clock=clock).start()
